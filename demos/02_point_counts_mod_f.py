@@ -7,8 +7,8 @@ A reducible curve like X*Y = 0 escapes the window, showing why the
 hypothesis matters.
 """
 
-from polybox import (GF, bivar, count_points_mod, monic_irreducibles,
-                     poly, weil_window_check)
+from polybox import (GF, Poly, bivar, count_points_mod, monic_irreducibles,
+                     weil_window_check)
 from polybox.poly import T as T_of
 
 F3 = GF(3)
@@ -33,7 +33,7 @@ for f in list(monic_irreducibles(F3, 3)):
 print()
 
 print("== Exhaustive and histogram counting paths agree ==")
-f = poly(F3, [1, 0, 1])  # T^2 + 1
+f = Poly(F3, [1, 0, 1])  # T^2 + 1
 a = count_points_mod(curve, f, method="exhaustive")
 b = count_points_mod(curve, f, method="separable")
 print(f"mod T^2+1: exhaustive = {a}, separable-histogram = {b}")

@@ -7,9 +7,10 @@ determinant -- kappa collisions force f^kappa.  Averaged over all tuples
 this is the mechanism that makes large point sets contradict themselves.
 """
 
-from polybox import (GF, bivar, enumerate_box_points, mean_distinct_identity,
-                     poly, residue_stats, verify_ord_inequality,
-                     wset_determinant, wset_grid, wset_linear, zero_interval)
+from polybox import (GF, Poly, bivar, enumerate_box_points,
+                     mean_distinct_identity, residue_stats,
+                     verify_ord_inequality, wset_determinant, wset_grid,
+                     wset_linear, zero_interval)
 from polybox.poly import T as T_of, valuation
 
 F2 = GF(2)
@@ -17,7 +18,7 @@ t = T_of(F2)
 
 print("== W = {1, X, Y}: determinants of point triples ==")
 W = wset_linear(F2)
-z, o = poly(F2, []), poly(F2, [1])
+z, o = Poly(F2, []), Poly(F2, [1])
 triple = [(z, z), (o, z), (z, o)]
 print(f"det at (0,0),(1,0),(0,1): {wset_determinant(W, triple).coeffs}")
 collide = [(z, z), (t, z), (z, o)]
@@ -30,7 +31,7 @@ print("== All tuples from a real point set ==")
 curve = bivar(F2, {(0, 2): 1, (3, 0): 1, (1, 0): 1, (0, 0): 1})
 S = enumerate_box_points(curve, zero_interval(F2, 3))
 print(f"|S| = {len(S)} points of Y^2 = X^3 + X + 1 in the n = 3 box")
-f = poly(F2, [1, 1, 1])
+f = Poly(F2, [1, 1, 1])
 rep = verify_ord_inequality(wset_grid(F2, 1, 1), S, f)
 print(f"W-grid (1,1): omega = {rep.omega}, total degree = {rep.d_w}")
 print(f"tuples: {rep.tuples_total} total, {rep.tuples_admissible} admissible")

@@ -7,12 +7,12 @@ sizes are governed by N_lambda = #{(a, b): a^3 = lambda b^2 mod f}, which
 the family (x^2, x^3) keeps from dropping below ~|I|^(1/3).
 """
 
-from polybox import (GF, PigeonInstance, ResidueRing,
+from polybox import (GF, PigeonInstance, Poly, ResidueRing,
                      count_invariant_pairs, count_nlambda, extremal_count,
                      invariant_congruent, iso_witness, ninth_window_scan,
                      ninth_window_tau_plan, one, pigeonhole_multiplier,
-                     poly, poly_text, random_irreducible, small_coeff_model,
-                     zero, zero_interval)
+                     poly_text, random_irreducible, small_coeff_model, zero,
+                     zero_interval)
 from polybox.poly import T as T_of, frac_dist
 
 F2 = GF(2)
@@ -20,7 +20,7 @@ F3 = GF(3)
 t = T_of(F2)
 
 print("== Witness and invariant ==")
-f = poly(F2, [1, 1, 0, 0, 1])
+f = Poly(F2, [1, 1, 0, 0, 1])
 ring = ResidueRing(f)
 c, d = (t ** 4) % f, (t ** 6) % f
 w = iso_witness(one(F2), one(F2), c, d, ring)
@@ -30,7 +30,7 @@ print(f"invariant congruence holds: "
       f"{invariant_congruent(one(F2), one(F2), c, d, ring)}")
 
 # a quadratic twist: invariant holds, no witness exists
-fr = ResidueRing(poly(F3, [1, 0, 1]))  # T^2 + 1 over F_3
+fr = ResidueRing(Poly(F3, [1, 0, 1]))  # T^2 + 1 over F_3
 squares = {fr.mul(x, x).coeffs for x in fr.elements() if x}
 g = next(x for x in fr.elements() if x and x.coeffs not in squares)
 cw, dw = fr.mul(g, g), fr.mul(fr.mul(g, g), g)
@@ -59,7 +59,7 @@ print(f"extremal family floor: N_1 >= {extremal_count(I1)} (pairs (x^2, x^3))")
 print()
 
 print("== The small-remainder multiplier ==")
-fp = poly(F2, [1, 1, 1])
+fp = Poly(F2, [1, 1, 1])
 inst = PigeonInstance(f=fp, x_list=(t, t), tau_list=(2, 1))
 tm = pigeonhole_multiplier(inst)
 print(f"f = {poly_text(fp)}, make T*t small twice: t = {poly_text(tm)}; "

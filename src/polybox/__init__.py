@@ -3,7 +3,7 @@
 from .boxcount import (ExponentScan, PointSet, ResidueProfile,
                        enumerate_box_points, exponent_scan, residue_stats)
 from .curves import (BivarPoly, TransformMatrix, apply_transform, bivar,
-                     count_points_mod, degree_stats, evaluate,
+                     count_points_mod, degree_stats,
                      find_full_degree_transform, is_smooth_weierstrass,
                      weil_window_check)
 from .detmethod import (InterpolationProblem, OrdReport, TupleReport, WSet,
@@ -22,11 +22,10 @@ from .errors import (BudgetExceededError, FullRankError, ParseError,
                      PolyboxError)
 from .ffield import GF, FiniteField
 from .grammar import curve_text, parse_curve, parse_poly, poly_text
-from .intervals import (Interval, interval, interval_contains,
-                        interval_enumerate, zero_interval)
+from .intervals import Interval, zero_interval
 from .poly import (NEG_INF, Poly, constant, frac_dist, is_irreducible,
-                   monic_irreducibles, one, poly, poly_gcd, poly_norm,
-                   random_irreducible, sort_key, valuation, zero)
+                   monic_irreducibles, one, poly_gcd, random_irreducible,
+                   sort_key, valuation, zero)
 from .residues import ResidueRing
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from itertools import product
 
 from .intervals import Interval, zero_interval
 from .curves import BivarPoly
-from .poly import Poly, one, sort_key, zero
+from .poly import Poly, horner, one, sort_key, zero
 from .residues import ResidueRing
 
 _NAIVE_LIMIT = 1 << 16   # pair count up to which the double loop is fine
@@ -56,31 +56,11 @@ def _sorted_points(pts) -> tuple:
 # -- strategy: naive --
 
 def _naive_points(F: BivarPoly, box_x: Interval, box_y: Interval):
-    ycoeffs = F.y_coefficients()
-    jmax = max(ycoeffs)
-    fld = F.field
+    rows = F.y_coefficients()
     out = []
     for x in box_x:
-        xpow = [one(fld)]
-        for _ in range(int(F.deg_x) if F.deg_x > 0 else 0):
-            xpow.append(xpow[-1] * x)
-        cs = []
-        for j in range(jmax + 1):
-            row = ycoeffs.get(j)
-            if row is None:
-                cs.append(zero(fld))
-            else:
-                acc = zero(fld)
-                for i, c in enumerate(row):
-                    if c:
-                        acc = acc + c * xpow[i]
-                cs.append(acc)
-        for y in box_y:
-            acc = zero(fld)
-            for c in reversed(cs):
-                acc = acc * y + c
-            if not acc:
-                out.append((x, y))
+        cs = [horner(row, x) for row in rows]
+        out.extend((x, y) for y in box_y if not horner(cs, y))
     return out
 
 
@@ -206,32 +186,14 @@ class CrtRootSolver:
             self.basis.append((Mi * inv) % M)
 
     def _root_table(self, ring: ResidueRing):
-        Fr = self.F.reduce_mod(ring)
-        ycoeffs = Fr.y_coefficients()
-        jmax = max(ycoeffs)
-        fld = self.F.field
-        table = {}
+        rows = self.F.reduce_mod(ring).y_coefficients()
         residues = list(ring.elements())
+        table = {}
         for x in residues:
-            cs = []
-            for j in range(jmax + 1):
-                row = ycoeffs.get(j)
-                if row is None:
-                    cs.append(zero(fld))
-                else:
-                    acc = zero(fld)
-                    for c in reversed(row):
-                        acc = (acc * x + c) % ring.f
-                    cs.append(acc)
-            roots = []
-            for y in residues:
-                acc = zero(fld)
-                for c in reversed(cs):
-                    acc = (acc * y + c) % ring.f
-                if not acc:
-                    roots.append(y)
+            cs = [horner(row, x, ring.f) for row in rows]
+            roots = tuple(y for y in residues if not horner(cs, y, ring.f))
             if roots:
-                table[x.coeffs] = tuple(roots)
+                table[x.coeffs] = roots
         return table
 
     def candidates(self, x: Poly):
@@ -255,21 +217,14 @@ class CrtRootSolver:
         return out
 
 
-def _crt_points(F, box_x, box_y, solver=None):
-    if solver is None:
-        bound = max(box_x.max_degree(), box_y.max_degree())
-        solver = CrtRootSolver(F, bound)
+def _crt_points(F, xs, box_y, solver):
+    """Zeros (x, y) with x from xs: CRT candidates in box_y, or all of
+    box_y when the solver caps the combinations, confirmed exactly."""
     out = []
-    for x in box_x:
+    for x in xs:
         cands = solver.candidates(x)
-        if cands is None:
-            for y in box_y:
-                if not F.evaluate(x, y):
-                    out.append((x, y))
-            continue
-        for y in cands:
-            if box_y.contains(y) and not F.evaluate(x, y):
-                out.append((x, y))
+        ys = box_y if cands is None else filter(box_y.contains, cands)
+        out.extend((x, y) for y in ys if not F.evaluate(x, y))
     return out
 
 
@@ -286,19 +241,7 @@ def _resolve_strategy(F, box_x, box_y, strategy):
 
 
 def _chunk_points(args):
-    F, xs, box_y, solver = args
-    out = []
-    for x in xs:
-        cands = solver.candidates(x)
-        if cands is None:
-            for y in box_y:
-                if not F.evaluate(x, y):
-                    out.append((x, y))
-            continue
-        for y in cands:
-            if box_y.contains(y) and not F.evaluate(x, y):
-                out.append((x, y))
-    return out
+    return _crt_points(*args)
 
 
 def enumerate_box_points(F: BivarPoly, box_x: Interval,
@@ -318,11 +261,11 @@ def enumerate_box_points(F: BivarPoly, box_x: Interval,
     elif strategy == "naive":
         pts = _naive_points(F, box_x, box_y)
     elif strategy == "crt":
+        solver = _solver
+        if solver is None:
+            bound = max(box_x.max_degree(), box_y.max_degree())
+            solver = CrtRootSolver(F, bound)
         if jobs > 1:
-            solver = _solver
-            if solver is None:
-                bound = max(box_x.max_degree(), box_y.max_degree())
-                solver = CrtRootSolver(F, bound)
             xs = list(box_x)
             step = max(1, math.ceil(len(xs) / jobs))
             chunks = [(F, xs[i:i + step], box_y, solver)
@@ -332,7 +275,7 @@ def enumerate_box_points(F: BivarPoly, box_x: Interval,
                 for part in pool.map(_chunk_points, chunks):
                     pts.extend(part)
         else:
-            pts = _crt_points(F, box_x, box_y, solver=_solver)
+            pts = _crt_points(F, box_x, box_y, solver)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return PointSet(points=_sorted_points(pts), curve=F, box=(box_x, box_y))
@@ -434,7 +377,7 @@ def residue_stats(S, f) -> ResidueProfile:
     points = list(S)
     if not points:
         raise ValueError("residue statistics need a nonempty point set")
-    ring = f if isinstance(f, ResidueRing) else ResidueRing(f)
+    ring = ResidueRing.of(f)
     counts: dict = {}
     for (x, y) in points:
         key = (x % ring.f, y % ring.f)

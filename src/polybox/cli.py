@@ -102,8 +102,7 @@ def _wset_from(params: dict, field):
 
 # -- command handlers (dispatchable from argparse or a replayed manifest) --
 
-def _cmd_count_box(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_count_box(params: dict, field: FiniteField) -> CommandResult:
     curve = parse_curve(field, params["curve"])
     params["curve"] = curve_text(curve)
     bx, by = _boxes(params, field)
@@ -115,8 +114,7 @@ def _cmd_count_box(params: dict) -> CommandResult:
     return CommandResult(report=report, csv_header=["x", "y"], csv_rows=pts)
 
 
-def _cmd_exponent_scan(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_exponent_scan(params: dict, field: FiniteField) -> CommandResult:
     curve = parse_curve(field, params["curve"])
     params["curve"] = curve_text(curve)
     lo, hi = params["n_range"]
@@ -136,8 +134,7 @@ def _cmd_exponent_scan(params: dict) -> CommandResult:
                          csv_rows=rows)
 
 
-def _cmd_residue_stats(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_residue_stats(params: dict, field: FiniteField) -> CommandResult:
     curve = parse_curve(field, params["curve"])
     params["curve"] = curve_text(curve)
     f = _resolve_f(params, field)
@@ -165,8 +162,7 @@ def _cmd_residue_stats(params: dict) -> CommandResult:
                          csv_rows=rows, violation=not prof.cauchy_ok())
 
 
-def _cmd_detlab_ord(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_detlab_ord(params: dict, field: FiniteField) -> CommandResult:
     curve = parse_curve(field, params["curve"])
     params["curve"] = curve_text(curve)
     f = _resolve_f(params, field)
@@ -177,8 +173,8 @@ def _cmd_detlab_ord(params: dict) -> CommandResult:
     return CommandResult(report=rep.to_json(), violation=not rep.passed)
 
 
-def _cmd_detlab_mean_identity(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_detlab_mean_identity(params: dict,
+                              field: FiniteField) -> CommandResult:
     curve = parse_curve(field, params["curve"])
     params["curve"] = curve_text(curve)
     f = _resolve_f(params, field)
@@ -193,8 +189,7 @@ def _cmd_detlab_mean_identity(params: dict) -> CommandResult:
     return CommandResult(report=report, violation=not rep.passed)
 
 
-def _cmd_detlab_interpolate(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_detlab_interpolate(params: dict, field: FiniteField) -> CommandResult:
     curve = parse_curve(field, params["curve"])
     params["curve"] = curve_text(curve)
     d = params["d"]
@@ -213,8 +208,7 @@ def _cmd_detlab_interpolate(params: dict) -> CommandResult:
     return CommandResult(report=report)
 
 
-def _cmd_detlab_wcurve_max(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_detlab_wcurve_max(params: dict, field: FiniteField) -> CommandResult:
     curve = parse_curve(field, params["curve"])
     params["curve"] = curve_text(curve)
     W = _wset_from(params, field)
@@ -227,8 +221,7 @@ def _cmd_detlab_wcurve_max(params: dict) -> CommandResult:
     return CommandResult(report=report)
 
 
-def _cmd_ec_nlambda(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_ec_nlambda(params: dict, field: FiniteField) -> CommandResult:
     f = _resolve_f(params, field)
     lam = parse_poly(field, params["lam"])
     params["lam"] = poly_text(lam)
@@ -239,8 +232,7 @@ def _cmd_ec_nlambda(params: dict) -> CommandResult:
     return CommandResult(report=report)
 
 
-def _cmd_ec_census(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_ec_census(params: dict, field: FiniteField) -> CommandResult:
     f = _resolve_f(params, field)
     I = Interval(_resolve_base(params, field, "base_x"), params["n"])
     method = params.get("method", "auto")
@@ -250,8 +242,7 @@ def _cmd_ec_census(params: dict) -> CommandResult:
     return CommandResult(report=report)
 
 
-def _cmd_ec_scan19(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_ec_scan19(params: dict, field: FiniteField) -> CommandResult:
     f = _resolve_f(params, field)
     I = Interval(_resolve_base(params, field, "base_x"), params["n"])
     rep = ninth_window_scan(I, f, force=params.get("force", False))
@@ -260,8 +251,7 @@ def _cmd_ec_scan19(params: dict) -> CommandResult:
                          csv_header=["lambda", "count"], csv_rows=rows)
 
 
-def _cmd_ec_pigeonhole(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_ec_pigeonhole(params: dict, field: FiniteField) -> CommandResult:
     f = _resolve_f(params, field)
     xs = tuple(parse_poly(field, s) for s in params["x_list"].split("|"))
     taus = tuple(int(s) for s in params["tau_list"].split("|"))
@@ -276,8 +266,7 @@ def _cmd_ec_pigeonhole(params: dict) -> CommandResult:
     return CommandResult(report=report, violation=not inst.verify(t))
 
 
-def _cmd_ec_extremal(params: dict) -> CommandResult:
-    field = _field_from(params)
+def _cmd_ec_extremal(params: dict, field: FiniteField) -> CommandResult:
     I = Interval(zero(field), params["n"])
     count = extremal_count(I)
     rows = [[poly_text(a), poly_text(b)] for (a, b) in extremal_witnesses(I)]
@@ -353,9 +342,10 @@ def run_manifest(command: str, params: dict, out: str | None,
         raise PolyboxError(f"unknown command {command!r}")
     working = dict(params)
     working["jobs"] = jobs
-    result = handler(working)
+    field = _field_from(working)
+    result = handler(working, field)
     working.pop("jobs", None)
-    manifest = _manifest(command, working, _field_from(working).describe())
+    manifest = _manifest(command, working, field.describe())
     for path in _write_outputs(command, manifest, result, out, outdir):
         print(f"wrote: {path}")
     print(f"pass={'false' if result.violation else 'true'}")

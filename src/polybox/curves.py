@@ -11,12 +11,13 @@ the full total degree in X.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .poly import NEG_INF, Poly, constant, one, zero
+from .poly import NEG_INF, Poly, constant, horner, one, zero
 from .residues import ResidueRing
 
 _VECTOR_THRESHOLD = 400  # residue-field size where numpy paths take over
@@ -25,7 +26,7 @@ _VECTOR_THRESHOLD = 400  # residue-field size where numpy paths take over
 class BivarPoly:
     """Element of (F_q[T])[X, Y] as a sparse exponent-to-coefficient map."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_rows")
 
     def __init__(self, field, terms: dict):
         clean = {}
@@ -38,6 +39,7 @@ class BivarPoly:
                 clean[(int(i), int(j))] = c
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, *a):
         raise AttributeError("BivarPoly is immutable")
@@ -134,38 +136,29 @@ class BivarPoly:
 
     def evaluate(self, X: Poly, Y: Poly) -> Poly:
         """Exact value in F_q[T] (ring homomorphism in each argument)."""
-        dx = self.deg_x
-        if dx is NEG_INF:
-            return zero(self.field)
-        xpow = [one(self.field)]
-        for _ in range(int(dx)):
-            xpow.append(xpow[-1] * X)
-        by_j: dict[int, Poly] = {}
-        for (i, j), c in self.terms.items():
-            v = c * xpow[i]
-            acc = by_j.get(j)
-            by_j[j] = v if acc is None else acc + v
-        acc = zero(self.field)
-        for j in range(max(by_j), -1, -1):
-            acc = acc * Y
-            if j in by_j:
-                acc = acc + by_j[j]
-        return acc
+        return horner([horner(row, X) for row in self.y_coefficients()], Y)
 
     def reduce_mod(self, ring: ResidueRing) -> "BivarPoly":
         """Coefficient-wise canonical remainders mod the ring modulus."""
         return BivarPoly(self.field,
                          {k: c % ring.f for k, c in self.terms.items()})
 
-    def y_coefficients(self) -> dict[int, list[Poly]]:
-        """j -> ascending X-coefficient list (univariate in X per Y-power)."""
-        out: dict[int, list[Poly]] = {}
-        for (i, j), c in self.terms.items():
-            row = out.setdefault(j, [])
-            while len(row) <= i:
-                row.append(zero(self.field))
-            row[i] = c
-        return out
+    def y_coefficients(self) -> tuple:
+        """Dense rows of F in Y, built once per polynomial.
+
+        Row j, for j = 0 .. deg_Y, is the ascending X-coefficient tuple of
+        Y**j (empty when no term has Y**j), so F(x, Y) has the coefficients
+        horner(row, x) and F(x, y) = horner([horner(row, x) ...], y).
+        """
+        if self._rows is None:
+            rows = [[] for _ in range(max((j for _, j in self.terms),
+                                          default=-1) + 1)]
+            for (i, j), c in self.terms.items():
+                row = rows[j]
+                row.extend([zero(self.field)] * (i + 1 - len(row)))
+                row[i] = c
+            object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        return self._rows
 
 
 def bivar(field, entries: dict) -> BivarPoly:
@@ -185,15 +178,7 @@ def degree_stats(F: BivarPoly):
     return (F.deg, F.deg_x, F.deg_y, F.deg_t)
 
 
-def evaluate(F: BivarPoly, X: Poly, Y: Poly) -> Poly:
-    return F.evaluate(X, Y)
-
-
 # -- point counting mod f --
-
-def _ring_of(f) -> ResidueRing:
-    return f if isinstance(f, ResidueRing) else ResidueRing(f)
-
 
 def is_separable_sum(F: BivarPoly) -> bool:
     """True when no term mixes X and Y (F = A(X) + B(Y) shape)."""
@@ -207,7 +192,7 @@ def count_points_mod(F: BivarPoly, f, method: str = "auto") -> int:
     a per-x scan otherwise; 'exhaustive' forces the scan; 'separable'
     forces the histogram (error if F mixes X and Y).  Both paths agree.
     """
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     Fr = F.reduce_mod(ring)
     if not Fr:
         raise ValueError("curve vanishes identically mod f")
@@ -247,72 +232,41 @@ def _count_separable(Fr: BivarPoly, ring: ResidueRing) -> int:
         b_vals = batch.eval_univariate(B, xs)
         hist = batch.histogram((-a_vals) % ring.field.p)
         return int(hist[batch.encode(b_vals)].sum())
-    hist: dict = {}
-    for x in ring.elements():
-        v = _eval_univariate_ring(A, x, ring)
-        key = (-v % ring.f).coeffs
-        hist[key] = hist.get(key, 0) + 1
-    total = 0
-    for y in ring.elements():
-        v = _eval_univariate_ring(B, y, ring)
-        total += hist.get(v.coeffs, 0)
-    return total
+    hist = Counter((-horner(A, x, ring.f)).coeffs for x in ring.elements())
+    return sum(hist[horner(B, y, ring.f).coeffs] for y in ring.elements())
 
 
-def _eval_univariate_ring(coeffs: list[Poly], x: Poly, ring: ResidueRing) -> Poly:
-    acc = zero(ring.field)
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % ring.f
-    return acc
+def _x_specialisations(Fr: BivarPoly, ring: ResidueRing):
+    """Coefficients of F(x, Y) mod f for each residue x, in counting order."""
+    rows = Fr.y_coefficients()
+    return ([horner(row, x, ring.f) for row in rows] for x in ring.elements())
+
+
+def _count_roots(specs, ring: ResidueRing) -> int:
+    """Number of pairs (cs, y), y a residue, with sum cs[j] y**j = 0 mod f."""
+    ys = list(ring.elements())
+    return sum(not horner(cs, y, ring.f) for cs in specs for y in ys)
 
 
 def _count_exhaustive(Fr: BivarPoly, ring: ResidueRing) -> int:
-    ycoeffs = Fr.y_coefficients()
-    jmax = max(ycoeffs)
-    total = 0
+    specs = _x_specialisations(Fr, ring)
     if ring.field.k == 1 and ring.size >= _VECTOR_THRESHOLD:
         batch = ring.batch()
-        ys = batch.digits
-        p = ring.field.p
-        for x in ring.elements():
-            cs = [_eval_univariate_ring(ycoeffs[j], x, ring)
-                  if j in ycoeffs else zero(ring.field)
-                  for j in range(jmax + 1)]
-            vals = batch.eval_univariate(cs, ys)
-            total += int(np.count_nonzero(~vals.any(axis=1)))
-        return total
-    for x in ring.elements():
-        cs = [_eval_univariate_ring(ycoeffs[j], x, ring)
-              if j in ycoeffs else zero(ring.field)
-              for j in range(jmax + 1)]
-        for y in ring.elements():
-            if not _eval_univariate_ring(cs, y, ring):
-                total += 1
-    return total
+        return sum(int(np.count_nonzero(
+            ~batch.eval_univariate(cs, batch.digits).any(axis=1)))
+            for cs in specs)
+    return _count_roots(specs, ring)
 
 
 def count_points_by_rows(F: BivarPoly, f) -> int:
     """Same count, summed the other way: per y, roots in x."""
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     Fr = F.reduce_mod(ring)
     if not Fr:
         raise ValueError("curve vanishes identically mod f")
-    xcoeffs: dict[int, list[Poly]] = {}
-    for (i, j), c in Fr.terms.items():
-        row = xcoeffs.setdefault(i, [])
-        while len(row) <= j:
-            row.append(zero(Fr.field))
-        row[j] = c
-    imax = max(xcoeffs)
-    total = 0
-    for y in ring.elements():
-        cs = [_eval_univariate_ring(xcoeffs[i], y, ring)
-              if i in xcoeffs else zero(Fr.field)
-              for i in range(imax + 1)]
-        for x in ring.elements():
-            if not _eval_univariate_ring(cs, x, ring):
-                total += 1
-    return total
+    swapped = BivarPoly(Fr.field,
+                        {(j, i): c for (i, j), c in Fr.terms.items()})
+    return _count_roots(_x_specialisations(swapped, ring), ring)
 
 
 # -- Weil-type window --
@@ -333,9 +287,14 @@ def weierstrass_parts(F: BivarPoly):
 
 
 def is_smooth_weierstrass(F: BivarPoly) -> bool:
-    """Literal discriminant test 4a^3 + 27b^2 != 0 on Weierstrass shape."""
+    """Literal discriminant test 4a^3 + 27b^2 != 0 on Weierstrass shape.
+
+    Always False in characteristic 2: there dF/dY = 2Y vanishes and
+    dF/dX = X^2 + a has a root x0 over the algebraic closure, which also
+    holds a y0 with y0^2 = x0^3 + a*x0 + b, so (x0, y0) is singular.
+    """
     parts = weierstrass_parts(F)
-    if parts is None:
+    if parts is None or F.field.p == 2:
         return False
     a, b = parts
     field = F.field
@@ -358,7 +317,7 @@ def weil_window_check(F: BivarPoly, f, C=None) -> WeilWindowReport:
 
     Default C: 2 for a smooth Weierstrass curve, else 2 * deg(F)^2.
     """
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     if C is None:
         C = Fraction(2) if is_smooth_weierstrass(F) \
             else Fraction(2 * int(F.deg) ** 2)

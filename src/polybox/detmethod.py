@@ -94,7 +94,7 @@ def wset_determinant(W: WSet, points, method: str = "auto") -> Poly:
 
 def collision_count(points, f) -> int:
     """Tuple length minus the number of distinct residues mod f (kappa)."""
-    ring = f if isinstance(f, ResidueRing) else ResidueRing(f)
+    ring = ResidueRing.of(f)
     pts = list(points)
     residues = {(x % ring.f, y % ring.f) for (x, y) in pts}
     return len(pts) - len(residues)
@@ -116,7 +116,7 @@ class TupleReport:
 def tuple_report(W: WSet, points, f) -> TupleReport:
     """Determinant, admissibility, collision count and valuation of one
     omega-tuple."""
-    ring = f if isinstance(f, ResidueRing) else ResidueRing(f)
+    ring = ResidueRing.of(f)
     pts = tuple(points)
     det = wset_determinant(W, pts)
     kap = collision_count(pts, ring)
@@ -157,7 +157,7 @@ def verify_ord_inequality(W: WSet, S, f, budget: int = 10 ** 6) -> OrdReport:
     points give congruent columns); counterexamples would expose a bug.
     """
     from .grammar import poly_text
-    ring = f if isinstance(f, ResidueRing) else ResidueRing(f)
+    ring = ResidueRing.of(f)
     pts = list(S)
     om = W.omega
     total = len(pts) ** om
@@ -220,7 +220,7 @@ def mean_distinct_identity(S, f, omega: int,
     Both sides are exact rationals; equality is an identity of uniform
     sampling with replacement, so `passed` is a self-test of the code.
     """
-    ring = f if isinstance(f, ResidueRing) else ResidueRing(f)
+    ring = ResidueRing.of(f)
     pts = list(S)
     if not pts:
         raise ValueError("empty point set")

@@ -49,13 +49,9 @@ class ECPair:
             raise ValueError("degenerate pair: 4a^3 + 27b^2 = 0")
 
 
-def _ring_of(f) -> ResidueRing:
-    return f if isinstance(f, ResidueRing) else ResidueRing(f)
-
-
 def invariant_congruent(a: Poly, b: Poly, c: Poly, d: Poly, f) -> bool:
     """a^3 d^2 = c^3 b^2 mod f (necessary for an isomorphism witness)."""
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     lhs = (a ** 3 * d ** 2 - c ** 3 * b ** 2) % ring.f
     return not lhs
 
@@ -67,7 +63,7 @@ def iso_witness(a: Poly, b: Poly, c: Poly, d: Poly, f):
     t^2 = (d*a)/(b*c), so only the square roots of that value need the
     final power checks; otherwise the nonzero residues are exhausted.
     """
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     a, b, c, d = (v % ring.f for v in (a, b, c, d))
     if all((a, b, c, d)):
         s = ring.mul(ring.mul(d, a), ring.inv(ring.mul(b, c)))
@@ -95,7 +91,7 @@ def _witness_ok(a, b, c, d, t, ring) -> bool:
 
 def count_nlambda(I: Interval, lam: Poly, f) -> int:
     """Pairs (a, b) in I^2 with a^3 = lambda * b^2 mod f, exhaustively."""
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     hist: dict = {}
     for a in I:
         key = ring.pow(a, 3).coeffs
@@ -115,7 +111,7 @@ def count_invariant_pairs(I: Interval, f, method: str = "auto") -> int:
     the ratio a^3 / b^2 (unit b), by b = 0 with unit a, or by both zero,
     and combines the class sizes.  Both give the same count.
     """
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     if method == "auto":
         method = "quad" if I.size ** 4 <= 2 ** 16 else "bucket"
     pairs = [(ring.pow(a, 3), ring.pow(b, 2)) for a in I for b in I]
@@ -268,7 +264,7 @@ def small_coeff_model(lam: Poly, x0: Poly, f, tau_list,
     = 0 mod f; multiplying by a unit t and replacing each coefficient by
     its canonical remainder preserves the solution set exactly.
     """
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     f = ring.f
     fld = f.field
     lam = lam % f
@@ -306,7 +302,7 @@ def ninth_window_tau_plan(I: Interval, f) -> tuple:
     integers the first exponent is bumped by one so the strict
     solvability margin holds.
     """
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     m = ring.deg
     ell = I.bound + 1
     theta = Fraction(m - 4 * ell, 5)
@@ -352,7 +348,7 @@ def ninth_window_scan(I: Interval, f, force: bool = False) -> NinthWindowReport:
     N_lambda adds the unit-b pairs of that ratio and the pairs with both
     coordinates divisible by f (those satisfy every class).
     """
-    ring = _ring_of(f)
+    ring = ResidueRing.of(f)
     if not force and I.size ** 9 > ring.size:
         raise PolyboxError("box too large: need |I|^9 <= |f| (use force)")
     buckets: dict = {}

@@ -53,18 +53,6 @@ class Interval:
         return self.enumerate()
 
 
-def interval(base: Poly, bound: int) -> Interval:
-    return Interval(base, bound)
-
-
 def zero_interval(field, bound: int) -> Interval:
     """Box centred at 0: all polynomials of degree <= bound."""
     return Interval(zero(field), bound)
-
-
-def interval_enumerate(I: Interval):
-    return I.enumerate()
-
-
-def interval_contains(I: Interval, X: Poly) -> bool:
-    return I.contains(X)

@@ -227,11 +227,6 @@ class Poly:
 
 # -- constructors --
 
-def poly(field: FiniteField, coeffs: Sequence[int]) -> Poly:
-    """Polynomial from ascending coefficients (field-element integers)."""
-    return Poly(field, coeffs)
-
-
 def constant(field: FiniteField, c: int) -> Poly:
     return Poly(field, (c % field.q if field.k == 1 else c,))
 
@@ -255,8 +250,20 @@ def random_poly(field: FiniteField, max_deg: int, rng) -> Poly:
 
 # -- module-level operations --
 
-def poly_norm(a: Poly) -> int:
-    return a.norm
+def horner(coeffs: Sequence[Poly], v: Poly, mod: Poly | None = None) -> Poly:
+    """sum coeffs[i] * v**i by Horner's rule, exactly.
+
+    With `mod`, every step is reduced modulo it, so the value is the
+    canonical remainder (a step already below deg mod is left as it is).
+    The one substitution kernel of the package: curve evaluation, box
+    scans, root tables and point counts all call it.
+    """
+    acc = Poly(v.field, ())
+    for c in reversed(coeffs):
+        acc = acc * v + c if acc else c
+        if mod is not None and len(acc.coeffs) >= len(mod.coeffs):
+            acc = acc % mod
+    return acc
 
 
 def sort_key(a: Poly):

@@ -25,6 +25,11 @@ class ResidueRing:
         self.deg = len(f.coeffs) - 1
         self.size = self.field.q ** self.deg  # |f|
 
+    @classmethod
+    def of(cls, f) -> "ResidueRing":
+        """f when it is already a ring, else the checked ResidueRing(f)."""
+        return f if isinstance(f, cls) else cls(f)
+
     def reduce(self, X: Poly) -> Poly:
         return X % self.f
 

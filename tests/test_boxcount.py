@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from polybox import (GF, BivarPoly, Interval, bivar,
-                     enumerate_box_points, exponent_scan, one, poly,
+from polybox import (GF, BivarPoly, Interval, Poly, bivar,
+                     enumerate_box_points, exponent_scan, one,
                      random_irreducible, residue_stats, zero, zero_interval)
 from polybox.boxcount import CrtRootSolver
 from polybox.poly import T as T_of, random_poly
@@ -95,6 +95,19 @@ def test_strategy_equivalence_random_larger():
         assert a == b
 
 
+def test_strategy_equivalence_extension_fields(F4, F9):
+    # k > 1 field arithmetic on shifted boxes: bases of degree up to 2
+    rng = random.Random(404)
+    for F, n in ((F4, 2), (F9, 1)):
+        for _ in range(3):
+            C = _rand_bivar(F, 3, 1, rng)
+            box_x = Interval(random_poly(F, 2, rng), n)
+            box_y = Interval(random_poly(F, 2, rng), n)
+            a = enumerate_box_points(C, box_x, box_y, strategy="naive").points
+            b = enumerate_box_points(C, box_x, box_y, strategy="crt").points
+            assert a == b
+
+
 def test_graph_strategy_matches_naive(F2, F3, F5):
     max_n = {2: 4, 3: 3, 5: 2}
     for F in (F2, F3, F5):
@@ -175,9 +188,9 @@ def test_fitted_exponent_closed_form(F2):
 # -- residue stats --
 
 def test_residue_stats_distinct(F2):
-    f = poly(F2, [1, 1, 0, 1])
-    pts = [(poly(F2, [0, 1]), zero(F2)), (one(F2), one(F2)),
-           (poly(F2, [1, 1]), poly(F2, [0, 1]))]
+    f = Poly(F2, [1, 1, 0, 1])
+    pts = [(Poly(F2, [0, 1]), zero(F2)), (one(F2), one(F2)),
+           (Poly(F2, [1, 1]), Poly(F2, [0, 1]))]
     prof = residue_stats(pts, f)
     assert prof.distinct == 3
     assert all(w == Fraction(1, 3) for w in prof.weights().values())

@@ -8,9 +8,10 @@ import pytest
 from polybox import (GF, BivarPoly, Poly, ResidueRing, TransformMatrix,
                      apply_transform, bivar, count_points_mod, curve_text,
                      degree_stats, find_full_degree_transform,
-                     is_smooth_weierstrass, one, parse_curve, poly,
+                     is_smooth_weierstrass, one, parse_curve,
                      random_irreducible, weil_window_check, zero)
-from polybox.curves import count_points_by_rows, top_form_value
+from polybox.curves import (count_points_by_rows, top_form_value,
+                            weierstrass_parts)
 from polybox.poly import T as T_of, random_poly
 
 
@@ -68,28 +69,29 @@ def test_degree_stats_examples(F5):
 def test_count_points_examples(F2):
     wcurve = bivar(F2, {(0, 2): 1, (3, 0): 1, (1, 0): 1})  # Y^2 - X^3 - X
     assert count_points_mod(wcurve, T_of(F2)) == 2
-    assert count_points_mod(wcurve, poly(F2, [1, 1, 1])) == 4
+    assert count_points_mod(wcurve, Poly(F2, [1, 1, 1])) == 4
     assert count_points_mod(bivar(F2, {(0, 0): 1}), T_of(F2)) == 0
     with pytest.raises(ValueError):
         count_points_mod(bivar(F2, {(0, 0): 0, (1, 0): T_of(F2)}),
                          T_of(F2))  # vanishes identically mod T
 
 
-def test_count_methods_agree(F2, F3):
+def test_count_methods_agree(F2, F3, F4, F9):
     rng = random.Random(9)
-    for F in (F2, F3):
-        for deg_f in (1, 2, 3):
-            f = random_irreducible(F, deg_f, 5)
-            for _ in range(10):
-                C = _rand_bivar(F, 2, 1, rng)
-                ring = ResidueRing(f, check=False)
-                if not C.reduce_mod(ring):
-                    continue
-                counts = {count_points_mod(C, f, method="exhaustive"),
-                          count_points_by_rows(C, f)}
-                if all(i == 0 or j == 0 for i, j in C.terms):
-                    counts.add(count_points_mod(C, f, method="separable"))
-                assert len(counts) == 1
+    cases = [(F, d) for F in (F2, F3) for d in (1, 2, 3)]
+    cases += [(F4, 2), (F9, 2)]   # extension fields: the pure paths only
+    for F, deg_f in cases:
+        f = random_irreducible(F, deg_f, 5)
+        for _ in range(10):
+            C = _rand_bivar(F, 2, 1, rng)
+            ring = ResidueRing(f, check=False)
+            if not C.reduce_mod(ring):
+                continue
+            counts = {count_points_mod(C, f, method="exhaustive"),
+                      count_points_by_rows(C, f)}
+            if all(i == 0 or j == 0 for i, j in C.terms):
+                counts.add(count_points_mod(C, f, method="separable"))
+            assert len(counts) == 1
 
 
 def test_count_vector_path_matches_scalar(F3):
@@ -130,11 +132,11 @@ def test_count_invariant_under_transform(F3):
 
 def test_weil_window_smoke(F2, F4):
     wcurve = bivar(F2, {(0, 2): 1, (3, 0): 1, (1, 0): 1})
-    rep = weil_window_check(wcurve, poly(F2, [1, 1, 1]), C=2)
+    rep = weil_window_check(wcurve, Poly(F2, [1, 1, 1]), C=2)
     assert rep.count == 4 and rep.size == 4 and rep.passed
     # reducible X*Y: count = 2|f| - 1 breaks the window for larger |f|
     xy = bivar(F2, {(1, 1): 1})
-    f3 = poly(F2, [1, 1, 0, 1])
+    f3 = Poly(F2, [1, 1, 0, 1])
     rep2 = weil_window_check(xy, f3, C=2)
     assert rep2.count == 2 * 8 - 1 and not rep2.passed
 
@@ -147,6 +149,19 @@ def test_weil_default_constant(F5):
     generic = bivar(F5, {(1, 1): 1, (0, 0): 1})
     rep2 = weil_window_check(generic, T_of(F5))
     assert rep2.constant == 2 * 2 ** 2
+
+
+def test_weierstrass_char2_is_singular(F2, F4):
+    # dF/dY = 2Y vanishes and X^2 = a has a root over the closure, so the
+    # curve is singular even where the literal discriminant b^2 is nonzero
+    for F in (F2, F4):
+        t = T_of(F)
+        for a, b in ((zero(F), one(F)), (t, one(F)), (one(F), t)):
+            w = BivarPoly(F, {(0, 2): one(F), (3, 0): -one(F),
+                              (1, 0): -a, (0, 0): -b})
+            assert weierstrass_parts(w) == (a, b)
+            assert not is_smooth_weierstrass(w)
+            assert weil_window_check(w, t).constant == 2 * 3 ** 2
 
 
 # -- transforms --
@@ -230,7 +245,7 @@ def test_top_form_value(F2):
 def test_parse_curve_weierstrass_q5(F5):
     C = parse_curve(F5, "Y^2-X^3-(T)*X")
     t = T_of(F5)
-    assert C.terms == {(0, 2): one(F5), (3, 0): poly(F5, [4]),
+    assert C.terms == {(0, 2): one(F5), (3, 0): Poly(F5, [4]),
                        (1, 0): t.scaled(4)}
     assert parse_curve(F5, curve_text(C)) == C
 

@@ -6,12 +6,12 @@ from itertools import permutations, product
 
 import pytest
 
-from polybox import (BudgetExceededError, FullRankError, Poly,
-                     bivar, collision_count, interpolate_form,
-                     max_points_on_wcurve, mean_distinct_identity,
-                     monomials_up_to, one, poly, proportional,
-                     random_irreducible, valuation, verify_ord_inequality,
-                     wset_determinant, wset_grid, wset_linear, zero)
+from polybox import (BudgetExceededError, FullRankError, Poly, bivar,
+                     collision_count, interpolate_form, max_points_on_wcurve,
+                     mean_distinct_identity, monomials_up_to, one,
+                     proportional, random_irreducible, valuation,
+                     verify_ord_inequality, wset_determinant, wset_grid,
+                     wset_linear, zero)
 from polybox.linalg import det_bareiss, det_cofactor
 from polybox.poly import T as T_of, random_poly
 
@@ -77,7 +77,7 @@ def test_wdet_unit_pattern(F2):
 
 def test_wdet_repeated_point_vanishes(F3):
     W = wset_linear(F3)
-    p = (poly(F3, [1, 2]), poly(F3, [2]))
+    p = (Poly(F3, [1, 2]), Poly(F3, [2]))
     assert not wset_determinant(W, [p, p, (zero(F3), one(F3))])
 
 

@@ -5,13 +5,14 @@ import warnings
 
 import pytest
 
-from polybox import (GF, ECPair, Interval, PigeonInstance, PolyboxError,
-                     ResidueRing, count_invariant_pairs, count_nlambda,
-                     extremal_count, extremal_witnesses, frac_dist,
-                     invariant_congruent, iso_witness, ninth_window_scan,
-                     ninth_window_tau_plan, one, pigeonhole_multiplier,
-                     pigeonhole_oracle, poly, random_irreducible,
-                     small_coeff_model, zero, zero_interval)
+from polybox import (GF, ECPair, Interval, PigeonInstance, Poly,
+                     PolyboxError, ResidueRing, count_invariant_pairs,
+                     count_nlambda, extremal_count, extremal_witnesses,
+                     frac_dist, invariant_congruent, iso_witness,
+                     ninth_window_scan, ninth_window_tau_plan, one,
+                     pigeonhole_multiplier, pigeonhole_oracle,
+                     random_irreducible, small_coeff_model, zero,
+                     zero_interval)
 from polybox.poly import T as T_of, random_poly
 
 
@@ -38,12 +39,12 @@ def test_ecpair_small_characteristic_warns(F2):
 # -- invariant congruence --
 
 def test_invariant_examples(F2):
-    f = poly(F2, [1, 1, 0, 0, 1])
+    f = Poly(F2, [1, 1, 0, 0, 1])
     t = T_of(F2)
     a = b = one(F2)
     c, d = (t ** 4) % f, (t ** 6) % f
     assert invariant_congruent(a, b, c, d, f)
-    f2 = poly(F2, [1, 1, 1])
+    f2 = Poly(F2, [1, 1, 1])
     assert not invariant_congruent(one(F2), one(F2), one(F2), t, f2)
     assert invariant_congruent(zero(F2), b, zero(F2), t, f2)
 
@@ -51,7 +52,7 @@ def test_invariant_examples(F2):
 # -- witnesses --
 
 def test_iso_witness_constructed(F2):
-    f = poly(F2, [1, 1, 0, 0, 1])
+    f = Poly(F2, [1, 1, 0, 0, 1])
     ring = ResidueRing(f)
     t = T_of(F2)
     w = iso_witness(one(F2), one(F2), (t ** 4) % f, (t ** 6) % f, ring)
@@ -77,7 +78,7 @@ def test_iso_witness_implies_invariant(F3):
 
 def _twist_fixture(F3):
     """(a, b, c, d, ring): invariant holds but no witness exists."""
-    f = poly(F3, [1, 0, 1])  # T^2 + 1, irreducible over F_3
+    f = Poly(F3, [1, 0, 1])  # T^2 + 1, irreducible over F_3
     ring = ResidueRing(f)
     squares = {ring.mul(t, t).coeffs for t in ring.elements() if t}
     for g in ring.elements():
@@ -164,7 +165,7 @@ def _all_irreducible_upto(F, max_deg):
 # -- pigeonhole --
 
 def test_pigeonhole_spec_instance(F2):
-    f = poly(F2, [1, 1, 1])
+    f = Poly(F2, [1, 1, 1])
     t_poly = T_of(F2)
     inst = PigeonInstance(f=f, x_list=(t_poly, t_poly), tau_list=(2, 1))
     t = pigeonhole_multiplier(inst)
@@ -174,7 +175,7 @@ def test_pigeonhole_spec_instance(F2):
 
 
 def test_pigeonhole_trivial_cases(F2):
-    f = poly(F2, [1, 1, 0, 1])
+    f = Poly(F2, [1, 1, 0, 1])
     zero_inputs = PigeonInstance(f=f, x_list=(f, f + f), tau_list=(0, 0))
     with pytest.raises(PolyboxError):
         pigeonhole_multiplier(zero_inputs)  # slack = -3: not guaranteed
@@ -210,7 +211,7 @@ def test_pigeonhole_matches_oracle_small(F2, F3):
 
 
 def test_pigeonhole_rejects_bad_tau(F2):
-    f = poly(F2, [1, 1, 1])
+    f = Poly(F2, [1, 1, 1])
     with pytest.raises(ValueError):
         PigeonInstance(f=f, x_list=(one(F2),), tau_list=(3,))
 
@@ -218,7 +219,7 @@ def test_pigeonhole_rejects_bad_tau(F2):
 # -- small-coefficient model --
 
 def test_small_model_zero_base_collapses(F2):
-    f = poly(F2, [1, 0, 1, 0, 0, 1])  # T^5 + T^2 + 1
+    f = Poly(F2, [1, 0, 1, 0, 0, 1])  # T^5 + T^2 + 1
     taus = (5, 5, 5, 5, 5)
     model = small_coeff_model(one(F2), zero(F2), f, taus)
     assert model.t == one(F2)

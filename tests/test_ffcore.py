@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybox import (GF, Interval, NEG_INF, Poly, constant, frac_dist,
-                     interval_contains, is_irreducible, monic_irreducibles,
-                     one, parse_poly, poly, poly_gcd, poly_norm, poly_text,
-                     random_irreducible, zero, zero_interval)
+                     is_irreducible, monic_irreducibles, one, parse_poly,
+                     poly_gcd, poly_text, random_irreducible, zero,
+                     zero_interval)
 from polybox.poly import powmod, random_poly, T as T_of
 
 
@@ -78,9 +78,9 @@ def test_mul_identity_random(F2, F3, F9):
 
 
 def test_mul_example_q3(F3):
-    a = poly(F3, [1, 1])
-    b = poly(F3, [2, 1])
-    assert a * b == poly(F3, [2, 0, 1])        # (T+1)(T+2) = T^2 + 2
+    a = Poly(F3, [1, 1])
+    b = Poly(F3, [2, 1])
+    assert a * b == Poly(F3, [2, 0, 1])        # (T+1)(T+2) = T^2 + 2
     assert a * b == _schoolbook(a, b)
 
 
@@ -88,7 +88,7 @@ def test_divrem_errors(F2, F3):
     with pytest.raises(ZeroDivisionError):
         divmod(one(F2), zero(F2))
     with pytest.raises(ValueError):
-        poly(F2, [1]) + poly(F3, [1])
+        Poly(F2, [1]) + Poly(F3, [1])
 
 
 def test_divrem_roundtrip_exhaustive_q2(F2):
@@ -105,8 +105,8 @@ def test_divrem_roundtrip_exhaustive_q2(F2):
 # -- norm --
 
 def test_norm_examples(F2):
-    assert poly(F2, [1, 0, 0, 1]).norm == 8
-    assert poly_norm(zero(F2)) == 0
+    assert Poly(F2, [1, 0, 0, 1]).norm == 8
+    assert zero(F2).norm == 0
     assert zero(F2).degree == NEG_INF
     F7 = GF(7)
     assert constant(F7, 5).norm == 1
@@ -131,9 +131,9 @@ def test_norm_multiplicative_and_ultrametric(q, data):
 def test_gcd_examples(F2):
     t = T_of(F2)
     assert poly_gcd(t * t + t, t + one(F2)) == t + one(F2)
-    a = poly(F2, [1, 1, 0, 1])
+    a = Poly(F2, [1, 1, 0, 1])
     assert poly_gcd(a, zero(F2)) == a.monic()
-    assert poly_gcd(poly(F2, [1, 1, 1]), t) == one(F2)
+    assert poly_gcd(Poly(F2, [1, 1, 1]), t) == one(F2)
     with pytest.raises(ValueError):
         poly_gcd(zero(F2), zero(F2))
 
@@ -154,8 +154,8 @@ def test_gcd_divides_both(F3):
 # -- irreducibility --
 
 def test_irreducible_examples(F2, F5):
-    assert is_irreducible(poly(F2, [1, 1, 1]))
-    assert not is_irreducible(poly(F2, [1, 0, 1]))  # (T+1)^2
+    assert is_irreducible(Poly(F2, [1, 1, 1]))
+    assert not is_irreducible(Poly(F2, [1, 0, 1]))  # (T+1)^2
     assert is_irreducible(T_of(F2))
     assert is_irreducible(T_of(F5))
     with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ def test_monic_irreducible_counts(F2, F3):
 
 def test_frac_dist_examples(F2):
     t = T_of(F2)
-    f = poly(F2, [1, 1, 1])
+    f = Poly(F2, [1, 1, 1])
     assert frac_dist(t ** 3, f) == 1          # T^3 = 1 mod T^2+T+1
     assert frac_dist(f, f) == 0
     assert frac_dist(t, f) == 2
@@ -233,14 +233,14 @@ def test_interval_enumeration_q2(F2):
     assert len(members) == 4 == I.size
     assert set(members) == {zero(F2), one(F2), T_of(F2),
                             T_of(F2) + one(F2)}
-    assert not interval_contains(I, poly(F2, [0, 0, 1]))
+    assert not I.contains(Poly(F2, [0, 0, 1]))
 
 
 def test_interval_base_shift(F2):
-    base = poly(F2, [0, 0, 0, 1])
+    base = Poly(F2, [0, 0, 0, 1])
     I = Interval(base, 1)
     assert all(I.contains(x) for x in I)
-    assert not I.contains(base + poly(F2, [0, 0, 1]))
+    assert not I.contains(base + Poly(F2, [0, 0, 1]))
     assert len(set(I)) == I.size
 
 
@@ -265,7 +265,7 @@ def test_interval_rejects_negative_bound(F2):
 
 def test_poly_grammar_examples(F5, F2):
     assert poly_text(parse_poly(F5, "T^3+2*T+1")) == "T^3+2*T+1"
-    assert parse_poly(F5, "7*T") == poly(F5, [0, 2])
+    assert parse_poly(F5, "7*T") == Poly(F5, [0, 2])
     assert parse_poly(F2, "0") == zero(F2)
     assert poly_text(zero(F2)) == "0"
 
@@ -298,9 +298,9 @@ def test_poly_grammar_errors(F2):
 def test_residue_sqrt_all_cases(F2, F3, F5):
     from polybox import ResidueRing
     rings = [
-        ResidueRing(poly(F2, [1, 1, 0, 1])),   # char 2, size 8
-        ResidueRing(poly(F3, [1, 1])),         # size 3 = 3 mod 4
-        ResidueRing(poly(F3, [1, 0, 1])),      # size 9 = 1 mod 4 (Tonelli)
+        ResidueRing(Poly(F2, [1, 1, 0, 1])),   # char 2, size 8
+        ResidueRing(Poly(F3, [1, 1])),         # size 3 = 3 mod 4
+        ResidueRing(Poly(F3, [1, 0, 1])),      # size 9 = 1 mod 4 (Tonelli)
         ResidueRing(T_of(F5)),                 # size 5 = 1 mod 4 (Tonelli)
     ]
     for ring in rings:
@@ -316,9 +316,18 @@ def test_residue_sqrt_all_cases(F2, F3, F5):
         assert rooted == len(squares)
 
 
+def test_residue_ring_of(F2):
+    from polybox import ResidueRing
+    ring = ResidueRing(Poly(F2, [1, 1, 1]))
+    assert ResidueRing.of(ring) is ring
+    assert ResidueRing.of(Poly(F2, [1, 1, 1])).size == 4
+    with pytest.raises(ValueError):
+        ResidueRing.of(Poly(F2, [1, 0, 1]))   # (T+1)^2
+
+
 def test_residue_inverse_roundtrip(F3):
     from polybox import ResidueRing
-    ring = ResidueRing(poly(F3, [1, 0, 1]))
+    ring = ResidueRing(Poly(F3, [1, 0, 1]))
     for x in ring.elements():
         if x:
             assert ring.mul(x, ring.inv(x)) == one(F3)
