@@ -5,6 +5,8 @@ field of size |f| = q**deg(f).  `ResidueBatch` holds every residue of a
 prime-base-field ring as a numpy digit matrix and provides whole-field
 maps (multiplication, polynomial evaluation, histograms); the exhaustive
 point-counting paths use it to stay inside the runtime budgets.
+`int64_dot_bound` states, and checks, the overflow bound of every int64
+digit product in the package.
 """
 
 from __future__ import annotations
@@ -12,6 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from .poly import Poly, is_irreducible, one, poly_xgcd, powmod, zero
+
+
+def int64_dot_bound(terms: int, p: int) -> int:
+    """Largest entry of a sum of `terms` products of digits in [0, p).
+
+    That is terms * (p - 1)**2; OverflowError when it does not fit int64,
+    so every numpy digit product is exact or refused at construction.
+    """
+    bound = terms * (p - 1) ** 2
+    if bound >= 1 << 63:
+        raise OverflowError(f"{terms} digit products mod {p} overflow int64")
+    return bound
 
 
 class ResidueRing:
@@ -126,14 +140,15 @@ class ResidueBatch:
     """All residues of a prime-field ring as an (N, m) digit matrix.
 
     Row order matches ResidueRing.elements()/index().  Digit arrays use
-    int64; products of deg-m polynomials with digits < p stay far below
-    overflow at desk scale.
+    int64; a convolution entry of two digit rows is a sum of at most m
+    digit products, so it stays below m*(p-1)**2, checked at construction.
     """
 
     def __init__(self, ring: ResidueRing):
         self.ring = ring
         self.p = ring.field.p
         self.m = ring.deg
+        int64_dot_bound(self.m, self.p)
         self.n = ring.size
         base = np.arange(self.n, dtype=np.int64)
         digits = np.empty((self.n, self.m), dtype=np.int64)

@@ -8,7 +8,7 @@ import pytest
 from polybox import (GF, BivarPoly, Interval, Poly, bivar,
                      enumerate_box_points, exponent_scan, one,
                      random_irreducible, residue_stats, zero, zero_interval)
-from polybox.boxcount import CrtRootSolver
+from polybox.boxcount import CrtRootSolver, _crt_points
 from polybox.poly import T as T_of, random_poly
 
 
@@ -138,6 +138,70 @@ def test_crt_solver_norm_product_exceeds_window(F2):
     total = sum(r.deg for r in solver.rings)
     assert total >= 2 * 6 + 1
     assert len({r.f for r in solver.rings}) == len(solver.rings)
+
+
+def test_root_tables_match_python_roots(F2, F3, F5):
+    # numpy root tables (prime fields) against the definition: y is a root
+    # at x mod u when u divides F(x, y); Y-degree up to 3 gives residues
+    # with several roots
+    rng = random.Random(55)
+    multi = 0
+    for F, bound in ((F2, 2), (F3, 1), (F5, 1)):
+        for _ in range(4):
+            C = _rand_bivar(F, 3, 1, rng)
+            solver = CrtRootSolver(C, bound)
+            for ring, table in zip(solver.rings, solver.tables):
+                res = list(ring.elements())
+                want = {}
+                for x in res:
+                    roots = tuple(y for y in res
+                                  if not C.evaluate(x, y) % ring.f)
+                    if roots:
+                        want[x.coeffs] = roots
+                assert table == want
+                multi += sum(len(r) > 1 for r in table.values())
+    assert multi
+
+
+def _per_x_points(C, box_x, box_y, solver):
+    """The reference crt loop: candidates() one x at a time."""
+    out, capped, expanded = [], 0, 0
+    for x in box_x:
+        cands = solver.candidates(x)
+        capped += cands is None
+        expanded += cands is not None and len(cands) > 1
+        ys = box_y if cands is None else filter(box_y.contains, cands)
+        out.extend((x, y) for y in ys if not C.evaluate(x, y))
+    return out, capped, expanded
+
+
+def test_crt_batch_matches_candidates_and_naive(F2, F3, F5):
+    # the batched prime-field lift == per-x candidates() == naive, on
+    # shifted boxes; Y^2 = X^3 + aX + b in odd characteristic has two roots
+    # modulo many moduli, and combo_cap 2 sends those x to the fallback
+    rng = random.Random(66)
+    capped = expanded = 0
+    for F, n in ((F2, 3), (F3, 2), (F5, 1)):
+        t = T_of(F)
+        curves = [_rand_bivar(F, 3, 1, rng) for _ in range(3)]
+        if F.p > 2:
+            curves.append(bivar(F, {(0, 2): 1, (3, 0): -1 % F.p,
+                                    (1, 0): -t, (0, 0): -(t + one(F))}))
+        for C in curves:
+            for cap in (4096, 2):
+                box_x = Interval(random_poly(F, 2, rng), n)
+                box_y = Interval(random_poly(F, 2, rng), n)
+                bound = max(box_x.max_degree(), box_y.max_degree())
+                solver = CrtRootSolver(C, bound, combo_cap=cap)
+                got = _crt_points(C, box_x, box_y, solver)
+                ref, c, e = _per_x_points(C, box_x, box_y, solver)
+                capped += c
+                expanded += e
+                assert sorted(got, key=str) == sorted(ref, key=str)
+                naive = enumerate_box_points(C, box_x, box_y,
+                                             strategy="naive").points
+                assert set(got) == set(naive)
+    assert capped and expanded
 
 
 def test_enumerate_monotone_in_n(F2):

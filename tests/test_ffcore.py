@@ -325,6 +325,20 @@ def test_residue_ring_of(F2):
         ResidueRing.of(Poly(F2, [1, 0, 1]))   # (T+1)^2
 
 
+def test_int64_dot_bound():
+    # the stated bound terms*(p-1)**2, checked against 2**63 without
+    # building any field
+    from polybox.residues import int64_dot_bound
+    assert int64_dot_bound(7, 2) == 7
+    assert int64_dot_bound(25, 5) == 25 * 16
+    p = 3037000499              # (p-1)**2 < 2**63 <= 2*(p-1)**2
+    assert int64_dot_bound(1, p) == (p - 1) ** 2
+    with pytest.raises(OverflowError):
+        int64_dot_bound(2, p)
+    with pytest.raises(OverflowError):
+        int64_dot_bound(1 << 63, 2)
+
+
 def test_residue_inverse_roundtrip(F3):
     from polybox import ResidueRing
     ring = ResidueRing(Poly(F3, [1, 0, 1]))
