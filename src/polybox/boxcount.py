@@ -7,8 +7,8 @@ Three interchangeable enumeration strategies:
   auxiliary irreducibles whose norm product exceeds q**(2B) (B bounds the
   degree of any box value), look roots up in precomputed residue tables,
   lift candidates by CRT, then confirm membership and the exact equation.
-  On prime fields the tables, the x-residue sieve and the lift run on
-  int64 digit vectors; extension fields take one x at a time.
+  The tables, the x-residue sieve and the lift run on int64 F_p digit
+  vectors, on every field.
 * ``graph``  -- closed-form walk for c*Y + c'*X^e shapes on base-0 boxes,
   where the viable x-degrees are decided by degree arithmetic alone.
 
@@ -30,7 +30,8 @@ import numpy as np
 from .intervals import Interval, zero_interval
 from .curves import BivarPoly
 from .poly import Poly, horner, one, sort_key, zero
-from .residues import ResidueRing, int64_dot_bound
+from .residues import (ResidueRing, coeff_rows, digit_rows, int64_dot_bound,
+                       mul_matrix)
 
 _NAIVE_LIMIT = 1 << 12   # pair count up to which the double loop is fine
 _COMBO_CAP = 4096        # CRT candidate combinations per x before fallback
@@ -139,17 +140,13 @@ def _monic_irreducibles_of_degree(fld, deg):
     return cached
 
 
-def _digits(a: Poly, width: int) -> list:
-    """The coefficients of a below T**width, low degree first."""
-    return list((a.coeffs + (0,) * width)[:width])
-
-
 class CrtRootSolver:
     """Root tables of F modulo auxiliary irreducibles, with CRT lifting.
 
-    On a prime field each table is also held as int64 arrays (`lifts`), and
-    `box_candidates` sieves and lifts a whole list of x at once; the lift
-    is F_p-linear on digit vectors, y = sum_u roots_u @ L_u mod p.
+    Each table is also held as int64 arrays (`lifts`), and `box_candidates`
+    sieves and lifts a whole list of x at once.  F_q[T]/(u) is an F_p-space
+    of k*deg u digits (`digit_rows`), and the lift is F_p-linear on them,
+    y = sum_u roots_u @ L_u mod p.
     """
 
     def __init__(self, F: BivarPoly, value_degree_bound: int,
@@ -189,7 +186,7 @@ class CrtRootSolver:
             moduli.append(chosen)
             total += chosen.deg
         self.rings = moduli
-        self.tables = [self._root_table(r) for r in moduli]
+        self.tables, root_arrays = zip(*map(self._root_table, moduli))
         M = one(fld)
         for r in moduli:
             M = M * r.f
@@ -199,47 +196,31 @@ class CrtRootSolver:
             Mi = M // r.f
             inv = r.inv(Mi % r.f)
             self.basis.append((Mi * inv) % M)
-        self.lifts = None
-        if fld.k == 1:
-            int64_dot_bound(M.degree, fld.p)
-            self.lifts = [self._digit_lift(r, t, e) for r, t, e
-                          in zip(moduli, self.tables, self.basis)]
+        int64_dot_bound(fld.k * M.degree, fld.p)
+        # per modulus u: (counts, roots, L), L = mul_matrix(e_u, deg u, M),
+        # so the digit rows r of a root lift as r @ L
+        self.lifts = [arrays + (mul_matrix(e, r.deg, M),) for r, e, arrays
+                      in zip(moduli, self.basis, root_arrays)]
 
     def _root_table(self, ring: ResidueRing):
+        """The roots y of F(x, y) mod u for each residue x: a dict from
+        x.coeffs to the roots, and int64 arrays (counts, roots) in which the
+        x of index i has the digit rows roots[i, :counts[i]]."""
         rows = self.F.reduce_mod(ring).y_coefficients()
         residues = list(ring.elements())
-        if ring.field.k == 1:
-            batch = ring.batch()
-
-            def roots_at(cs):
-                vals = batch.eval_univariate(cs, batch.digits)
-                return tuple(residues[i]
-                             for i in np.flatnonzero(~vals.any(axis=1)))
-        else:
-            def roots_at(cs):
-                return tuple(y for y in residues if not horner(cs, y, ring.f))
-        table = {}
+        batch = ring.batch()
+        found = []
         for x in residues:
-            roots = roots_at([horner(row, x, ring.f) for row in rows])
-            if roots:
-                table[x.coeffs] = roots
-        return table
-
-    def _digit_lift(self, ring: ResidueRing, table: dict, e: Poly):
-        """(counts, roots, L) for one modulus u as int64 arrays: the residue
-        of index i has the roots roots[i, :counts[i]] (digit rows), and row
-        j of L holds the digits of T**j * e mod M, so r @ L lifts r."""
-        m = ring.deg
-        counts = np.zeros(ring.size, dtype=np.int64)
-        roots = np.zeros((ring.size, max(map(len, table.values()), default=1),
-                          m), dtype=np.int64)
-        for key, rs in table.items():
-            i = ring.index(Poly(ring.field, key))
-            counts[i] = len(rs)
-            roots[i, :len(rs)] = [_digits(r, m) for r in rs]
-        lift = np.array([_digits(e.shifted(j) % self.M, self.M.degree)
-                         for j in range(m)], dtype=np.int64)
-        return counts, roots, lift
+            vals = batch.eval_univariate(
+                [horner(row, x, ring.f) for row in rows], batch.digits)
+            found.append(np.flatnonzero(~vals.any(axis=1)))
+        counts = np.array([len(i) for i in found], dtype=np.int64)
+        index = np.zeros((ring.size, max(1, counts.max())), dtype=np.int64)
+        for row, i in zip(index, found):
+            row[:len(i)] = i
+        table = {x.coeffs: tuple(residues[j] for j in i)
+                 for x, i in zip(residues, found) if len(i)}
+        return table, (counts, batch.digits[index])
 
     def candidates(self, x: Poly):
         """Candidate y values for this x, or None when capped."""
@@ -263,7 +244,7 @@ class CrtRootSolver:
 
     def box_candidates(self, xs, box_y: Interval):
         """(x, ys) for the x of xs, in order, with CRT candidates in box_y,
-        or (x, None) where candidates() would cap; prime fields only.
+        or (x, None) where candidates() would cap.
 
         Per chunk of x: one digit-matrix product per modulus u gives
         x mod u, the root arrays drop x without roots, multi-root x expand
@@ -271,24 +252,21 @@ class CrtRootSolver:
         Membership is read on the digits above the box bound.
         """
         fld = self.F.field
-        p, width, cap = fld.p, self.M.degree, self.combo_cap
-        top = np.array(_digits(box_y.base, width)[box_y.bound + 1:],
-                       dtype=np.int64)
+        p, k, cap = fld.p, fld.k, self.combo_cap
+        width = self.M.degree * k
+        high = (box_y.bound + 1) * k   # digits of T**(bound+1) and above
+        top = digit_rows(fld, [box_y.base], self.M.degree)[0, high:]
         rows_per_pass = 1 << 16   # bounds the (rows, width) lift arrays
         xs = iter(xs)
         while chunk := list(islice(xs, rows_per_pass)):
             d = max(1, max(len(x.coeffs) for x in chunk))
-            int64_dot_bound(d, p)
-            X = np.array([_digits(x, d) for x in chunk], dtype=np.int64)
+            int64_dot_bound(d * k, p)
+            X = digit_rows(fld, chunk, d)
             idx = []
             combos = np.ones(len(chunk), dtype=np.int64)
             for ring, (counts, _, _) in zip(self.rings, self.lifts):
-                t_pows = [one(fld)]
-                for _ in range(d - 1):
-                    t_pows.append(t_pows[-1].shifted(1) % ring.f)
-                red = np.array([_digits(t, ring.deg) for t in t_pows],
-                               dtype=np.int64)
-                i = ((X @ red) % p) @ (p ** np.arange(ring.deg))
+                red = mul_matrix(one(fld), d, ring.f)
+                i = (X @ red % p) @ (p ** np.arange(ring.deg * k))
                 idx.append(i)
                 combos = np.minimum(combos * counts[i], cap + 1)
             found = {int(i): None for i in np.flatnonzero(combos > cap)}
@@ -301,12 +279,13 @@ class CrtRootSolver:
                     res = i[part]
                     n = counts[res]
                     grow = np.repeat(np.arange(len(part)), n)
-                    k = np.arange(len(grow)) - np.repeat(np.cumsum(n) - n, n)
-                    acc = acc[grow] + roots[res[grow], k] @ lift
+                    nth = np.arange(len(grow)) - np.repeat(np.cumsum(n) - n, n)
+                    acc = acc[grow] + roots[res[grow], nth] @ lift
                     part = part[grow]
                 acc %= p
-                keep = (acc[:, box_y.bound + 1:] == top).all(axis=1)
-                for j, y in zip(part[keep].tolist(), acc[keep].tolist()):
+                keep = (acc[:, high:] == top).all(axis=1)
+                ys = coeff_rows(fld, acc[keep]).tolist()
+                for j, y in zip(part[keep].tolist(), ys):
                     found.setdefault(j, []).append(Poly(fld, y))
             for j in sorted(found):
                 yield chunk[j], found[j]
@@ -315,12 +294,8 @@ class CrtRootSolver:
 def _crt_points(F, xs, box_y, solver):
     """Zeros (x, y) with x from xs: CRT candidates in box_y, or all of
     box_y when the solver caps the combinations, confirmed exactly."""
-    if solver.lifts is None:
-        pairs = ((x, solver.candidates(x)) for x in xs)
-    else:
-        pairs = solver.box_candidates(xs, box_y)
     out = []
-    for x, cands in pairs:
+    for x, cands in solver.box_candidates(xs, box_y):
         ys = box_y if cands is None else filter(box_y.contains, cands)
         out.extend((x, y) for y in ys if not F.evaluate(x, y))
     return out

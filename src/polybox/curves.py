@@ -2,8 +2,8 @@
 
 A BivarPoly maps exponent pairs (i, j) to nonzero Poly coefficients.
 Operations: exact evaluation, degree statistics, reduction and exhaustive
-point counting modulo an irreducible f (with a vectorized fast path for
-prime base fields), point-count windows around |f|, and invertible linear
+point counting modulo an irreducible f (with a vectorized path for large
+residue fields), point-count windows around |f|, and invertible linear
 changes of variables including the search for a transform that realizes
 the full total degree in X.
 """
@@ -225,7 +225,7 @@ def _split_separable(Fr: BivarPoly, ring):
 
 def _count_separable(Fr: BivarPoly, ring: ResidueRing) -> int:
     A, B = _split_separable(Fr, ring)
-    if ring.field.k == 1 and ring.size >= _VECTOR_THRESHOLD:
+    if ring.size >= _VECTOR_THRESHOLD:
         batch = ring.batch()
         xs = batch.digits
         a_vals = batch.eval_univariate(A, xs)
@@ -236,26 +236,17 @@ def _count_separable(Fr: BivarPoly, ring: ResidueRing) -> int:
     return sum(hist[horner(B, y, ring.f).coeffs] for y in ring.elements())
 
 
-def _x_specialisations(Fr: BivarPoly, ring: ResidueRing):
-    """Coefficients of F(x, Y) mod f for each residue x, in counting order."""
-    rows = Fr.y_coefficients()
-    return ([horner(row, x, ring.f) for row in rows] for x in ring.elements())
-
-
-def _count_roots(specs, ring: ResidueRing) -> int:
-    """Number of pairs (cs, y), y a residue, with sum cs[j] y**j = 0 mod f."""
-    ys = list(ring.elements())
-    return sum(not horner(cs, y, ring.f) for cs in specs for y in ys)
-
-
 def _count_exhaustive(Fr: BivarPoly, ring: ResidueRing) -> int:
-    specs = _x_specialisations(Fr, ring)
-    if ring.field.k == 1 and ring.size >= _VECTOR_THRESHOLD:
+    """Pairs (x, y) of residues with Fr(x, y) = 0 mod f: per x, roots in y."""
+    rows = Fr.y_coefficients()
+    specs = ([horner(row, x, ring.f) for row in rows] for x in ring.elements())
+    if ring.size >= _VECTOR_THRESHOLD:
         batch = ring.batch()
         return sum(int(np.count_nonzero(
             ~batch.eval_univariate(cs, batch.digits).any(axis=1)))
             for cs in specs)
-    return _count_roots(specs, ring)
+    ys = list(ring.elements())
+    return sum(not horner(cs, y, ring.f) for cs in specs for y in ys)
 
 
 def count_points_by_rows(F: BivarPoly, f) -> int:
@@ -266,7 +257,7 @@ def count_points_by_rows(F: BivarPoly, f) -> int:
         raise ValueError("curve vanishes identically mod f")
     swapped = BivarPoly(Fr.field,
                         {(j, i): c for (i, j), c in Fr.terms.items()})
-    return _count_roots(_x_specialisations(swapped, ring), ring)
+    return _count_exhaustive(swapped, ring)
 
 
 # -- Weil-type window --

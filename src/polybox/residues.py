@@ -1,12 +1,13 @@
 """Residue fields F_q[T]/(f) for irreducible f, plus vectorized kernels.
 
 Elements are canonical remainders (Poly of degree < deg f).  The ring is a
-field of size |f| = q**deg(f).  `ResidueBatch` holds every residue of a
-prime-base-field ring as a numpy digit matrix and provides whole-field
-maps (multiplication, polynomial evaluation, histograms); the exhaustive
-point-counting paths use it to stay inside the runtime budgets.
-`int64_dot_bound` states, and checks, the overflow bound of every int64
-digit product in the package.
+field of size |f| = q**deg(f), and an F_p-space of dimension k*deg(f) for
+q = p**k: `digit_rows` writes a residue as its F_p digits, whose base-p
+value is `ResidueRing.index`.  `ResidueBatch` holds every residue as a
+digit matrix and provides whole-field maps (multiplication, polynomial
+evaluation, histograms) for point counts and crt root tables on every
+field.  `int64_dot_bound` states, and checks, the overflow bound of every
+int64 digit product in the package.
 """
 
 from __future__ import annotations
@@ -26,6 +27,43 @@ def int64_dot_bound(terms: int, p: int) -> int:
     if bound >= 1 << 63:
         raise OverflowError(f"{terms} digit products mod {p} overflow int64")
     return bound
+
+
+def digit_rows(field, polys, n: int) -> np.ndarray:
+    """(len(polys), n*k) int64 F_p digits of the coefficients below T**n.
+
+    Each T-coefficient, an element of F_q with q = p**k, gives its k
+    u-coefficients, low first (FiniteField.element_coeffs), so the base-p
+    value of a row is sum c_i q**i: ResidueRing.index for a remainder.
+    """
+    coeffs = np.array([(g.coeffs + (0,) * n)[:n] for g in polys],
+                      dtype=np.int64).reshape(len(polys), n)
+    p, k = field.p, field.k
+    return (coeffs[:, :, None] // p ** np.arange(k) % p).reshape(
+        len(polys), n * k)
+
+
+def coeff_rows(field, digits: np.ndarray) -> np.ndarray:
+    """The T-coefficient rows (N, n) of digit rows (N, n*k); see digit_rows."""
+    k = field.k
+    rows = digits.reshape(len(digits), digits.shape[1] // k, k)
+    return rows @ field.p ** np.arange(k)
+
+
+def mul_matrix(g: Poly, n: int, f: Poly) -> np.ndarray:
+    """The F_p-linear map a -> a*g mod f on digit rows, for deg a < n.
+
+    Row j*k + l holds the digits of u**l * T**j * g mod f, u being the
+    generator of F_q over F_p (encoded p), so digit_rows(field, [a], n) @
+    mul_matrix(g, n, f) % p are the digits of a*g mod f.
+    """
+    fld = g.field
+    rows = []
+    t = g % f
+    for _ in range(n):
+        rows.extend(t.scaled(fld.p ** l) for l in range(fld.k))
+        t = t.shifted(1) % f
+    return digit_rows(fld, rows, len(f.coeffs) - 1)
 
 
 class ResidueRing:
@@ -71,9 +109,9 @@ class ResidueRing:
 
     def index(self, a: Poly) -> int:
         """Counting index sum coeff_i * q**i of a canonical remainder."""
-        e = 0
-        for i in reversed(range(self.deg)):
-            e = e * self.field.q + a.coefficient(i)
+        e, q = 0, self.field.q
+        for c in reversed(a.coeffs[:self.deg]):
+            e = e * q + c
         return e
 
     def from_index(self, e: int) -> Poly:
@@ -127,9 +165,7 @@ class ResidueRing:
         return r
 
     def batch(self):
-        """Vectorized whole-field view; prime base fields only."""
-        if self.field.k != 1:
-            raise ValueError("vectorized residues need a prime base field")
+        """Vectorized whole-field view (ResidueBatch)."""
         return ResidueBatch(self)
 
     def __repr__(self):
@@ -137,61 +173,53 @@ class ResidueRing:
 
 
 class ResidueBatch:
-    """All residues of a prime-field ring as an (N, m) digit matrix.
+    """All residues of a ring as an (N, m*k) F_p digit matrix (digit_rows).
 
-    Row order matches ResidueRing.elements()/index().  Digit arrays use
-    int64; a convolution entry of two digit rows is a sum of at most m
-    digit products, so it stays below m*(p-1)**2, checked at construction.
+    Row order matches ResidueRing.elements()/index(), and so does the
+    base-p value of each row.  `mul` is F_p-bilinear on digits: a
+    T-convolution of a's digits against b multiplied by each power u**l of
+    the field generator (a k x k matrix per power, none for k = 1), then a
+    reduction of the high T-coefficients.  Digit arrays use int64, and
+    each entry sums digit products: k for b * u**l, m*k for the
+    convolution and (m-1)*k for the reduction.  The largest,
+    m*k*(p-1)**2, is checked before any array is allocated.
     """
 
     def __init__(self, ring: ResidueRing):
+        fld = ring.field
+        p, k, m = fld.p, fld.k, ring.deg
+        int64_dot_bound(m * k, p)
         self.ring = ring
-        self.p = ring.field.p
-        self.m = ring.deg
-        int64_dot_bound(self.m, self.p)
-        self.n = ring.size
-        base = np.arange(self.n, dtype=np.int64)
-        digits = np.empty((self.n, self.m), dtype=np.int64)
-        for i in range(self.m):
-            digits[:, i] = base % self.p
-            base //= self.p
-        self.digits = digits
-        # rows: T**j mod f for j = m .. 2m-2 (reduction of product overflow)
-        red = np.zeros((max(self.m - 1, 0), self.m), dtype=np.int64)
-        t_pow = Poly(ring.field, (0,) * self.m + (1,)) % ring.f
-        for j in range(self.m - 1):
-            red[j, :] = [t_pow.coefficient(i) for i in range(self.m)]
-            t_pow = (t_pow.shifted(1)) % ring.f
-        self.reduction = red
-        self._powers = self.p ** np.arange(self.m, dtype=np.int64)
+        self.p, self.k, self.m, self.n = p, k, m, ring.size
+        self._powers = p ** np.arange(m * k, dtype=np.int64)
+        self.digits = np.arange(self.n, dtype=np.int64)[:, None] \
+            // self._powers % p
+        # rows: u**l * T**j mod f for j = m .. 2m-2 (product overflow)
+        self.reduction = mul_matrix(Poly(fld, (0,) * m + (1,)), m - 1, ring.f)
+        # u**l on one T-coefficient's k digits (mod T): a k x k matrix
+        self.u_powers = [mul_matrix(Poly(fld, (p ** l,)), 1, Poly(fld, (0, 1)))
+                         for l in range(1, k)]
 
     def encode(self, digits: np.ndarray) -> np.ndarray:
-        """(N, m) digit rows -> residue indices."""
+        """(N, m*k) digit rows -> residue indices."""
         return digits @ self._powers
-
-    def all_indices(self) -> np.ndarray:
-        return np.arange(self.n, dtype=np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise product of residue digit matrices, reduced mod f."""
-        m, p = self.m, self.p
-        if m == 1:
-            return (a * b) % p
-        rows = max(a.shape[0], b.shape[0])
-        conv = np.zeros((rows, 2 * m - 1), dtype=np.int64)
+        m, k, p = self.m, self.k, self.p
+        bs = [b] + [(b.reshape(len(b), m, k) @ A).reshape(b.shape) % p
+                    for A in self.u_powers]
+        conv = np.zeros((max(len(a), len(b)), (2 * m - 1) * k),
+                        dtype=np.int64)
         for i in range(m):
-            ai = a[:, i: i + 1]
-            conv[:, i: i + m] += ai * b
+            for l, bl in enumerate(bs):
+                conv[:, i * k: (i + m) * k] += a[:, i * k + l, None] * bl
         conv %= p
-        low = conv[:, :m]
-        high = conv[:, m:]
-        return (low + high @ self.reduction) % p
+        return (conv[:, :m * k] + conv[:, m * k:] @ self.reduction) % p
 
     def poly_rows(self, g: Poly) -> np.ndarray:
-        """Constant residue g broadcast to one digit row (1, m)."""
-        r = (g % self.ring.f)
-        return np.array([[r.coefficient(i) for i in range(self.m)]],
-                        dtype=np.int64)
+        """Constant residue g as one digit row (1, m*k)."""
+        return self.digits[self.ring.index(g % self.ring.f), None]
 
     def eval_univariate(self, coeffs: list[Poly], x: np.ndarray) -> np.ndarray:
         """Evaluate sum coeffs[i] * x**i row-wise (Horner); coeffs are Poly."""

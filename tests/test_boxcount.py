@@ -140,13 +140,13 @@ def test_crt_solver_norm_product_exceeds_window(F2):
     assert len({r.f for r in solver.rings}) == len(solver.rings)
 
 
-def test_root_tables_match_python_roots(F2, F3, F5):
-    # numpy root tables (prime fields) against the definition: y is a root
-    # at x mod u when u divides F(x, y); Y-degree up to 3 gives residues
-    # with several roots
+def test_root_tables_match_python_roots(F2, F3, F5, F4, F9):
+    # numpy root tables against the definition: y is a root at x mod u
+    # when u divides F(x, y); Y-degree up to 3 gives residues with several
+    # roots
     rng = random.Random(55)
     multi = 0
-    for F, bound in ((F2, 2), (F3, 1), (F5, 1)):
+    for F, bound in ((F2, 2), (F3, 1), (F5, 1), (F4, 2), (F9, 1)):
         for _ in range(4):
             C = _rand_bivar(F, 3, 1, rng)
             solver = CrtRootSolver(C, bound)
@@ -175,13 +175,14 @@ def _per_x_points(C, box_x, box_y, solver):
     return out, capped, expanded
 
 
-def test_crt_batch_matches_candidates_and_naive(F2, F3, F5):
-    # the batched prime-field lift == per-x candidates() == naive, on
-    # shifted boxes; Y^2 = X^3 + aX + b in odd characteristic has two roots
-    # modulo many moduli, and combo_cap 2 sends those x to the fallback
+def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9):
+    # the batched lift == per-x candidates() == naive, on shifted boxes;
+    # Y^2 = X^3 + aX + b in odd characteristic has two roots modulo many
+    # moduli, and combo_cap 2 sends those x to the fallback, on prime and
+    # on extension fields
     rng = random.Random(66)
-    capped = expanded = 0
-    for F, n in ((F2, 3), (F3, 2), (F5, 1)):
+    capped, expanded = {}, {}
+    for F, n in ((F2, 3), (F3, 2), (F5, 1), (F4, 2), (F9, 1)):
         t = T_of(F)
         curves = [_rand_bivar(F, 3, 1, rng) for _ in range(3)]
         if F.p > 2:
@@ -195,13 +196,13 @@ def test_crt_batch_matches_candidates_and_naive(F2, F3, F5):
                 solver = CrtRootSolver(C, bound, combo_cap=cap)
                 got = _crt_points(C, box_x, box_y, solver)
                 ref, c, e = _per_x_points(C, box_x, box_y, solver)
-                capped += c
-                expanded += e
+                capped[F.k > 1] = capped.get(F.k > 1, 0) + c
+                expanded[F.k > 1] = expanded.get(F.k > 1, 0) + e
                 assert sorted(got, key=str) == sorted(ref, key=str)
                 naive = enumerate_box_points(C, box_x, box_y,
                                              strategy="naive").points
                 assert set(got) == set(naive)
-    assert capped and expanded
+    assert all(capped[ext] and expanded[ext] for ext in (False, True))
 
 
 def test_enumerate_monotone_in_n(F2):

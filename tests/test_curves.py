@@ -78,11 +78,14 @@ def test_count_points_examples(F2):
 
 def test_count_methods_agree(F2, F3, F4, F9):
     rng = random.Random(9)
-    cases = [(F, d) for F in (F2, F3) for d in (1, 2, 3)]
-    cases += [(F4, 2), (F9, 2)]   # extension fields: the pure paths only
-    for F, deg_f in cases:
+    cases = [(F, d, 10) for F in (F2, F3) for d in (1, 2, 3)]
+    cases += [(F4, 2, 10), (F9, 2, 10)]   # extension fields
+    # 1024 and 729 residues: the vector path on extension fields, where
+    # one count takes about a second, so two curves each
+    cases += [(F4, 5, 2), (F9, 3, 2)]
+    for F, deg_f, draws in cases:
         f = random_irreducible(F, deg_f, 5)
-        for _ in range(10):
+        for _ in range(draws):
             C = _rand_bivar(F, 2, 1, rng)
             ring = ResidueRing(f, check=False)
             if not C.reduce_mod(ring):
@@ -94,19 +97,20 @@ def test_count_methods_agree(F2, F3, F4, F9):
             assert len(counts) == 1
 
 
-def test_count_vector_path_matches_scalar(F3):
+def test_count_vector_path_matches_scalar(F3, F4):
     # force the numpy path by a large modulus, compare against pure python
     import polybox.curves as curves_mod
-    f = random_irreducible(F3, 5, 1)
-    wcurve = bivar(F3, {(0, 2): 1, (3, 0): -1 % 3, (0, 0): -1 % 3})
-    fast = count_points_mod(wcurve, f)
-    old = curves_mod._VECTOR_THRESHOLD
-    curves_mod._VECTOR_THRESHOLD = 10 ** 9
-    try:
-        slow = count_points_mod(wcurve, f)
-    finally:
-        curves_mod._VECTOR_THRESHOLD = old
-    assert fast == slow
+    for F, deg_f in ((F3, 5), (F4, 5)):
+        f = random_irreducible(F, deg_f, 1)
+        wcurve = bivar(F, {(0, 2): 1, (3, 0): -1 % F.p, (0, 0): -1 % F.p})
+        fast = count_points_mod(wcurve, f)
+        old = curves_mod._VECTOR_THRESHOLD
+        curves_mod._VECTOR_THRESHOLD = 10 ** 9
+        try:
+            slow = count_points_mod(wcurve, f)
+        finally:
+            curves_mod._VECTOR_THRESHOLD = old
+        assert fast == slow
 
 
 def test_count_invariant_under_transform(F3):

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,8 @@ from polybox import (GF, Interval, NEG_INF, Poly, constant, frac_dist,
                      is_irreducible, monic_irreducibles, one, parse_poly,
                      poly_gcd, poly_text, random_irreducible, zero,
                      zero_interval)
-from polybox.poly import powmod, random_poly, T as T_of
+from polybox.poly import horner, powmod, random_poly, T as T_of
+from polybox.residues import ResidueRing, digit_rows
 
 
 def _schoolbook(a, b):
@@ -337,6 +339,47 @@ def test_int64_dot_bound():
         int64_dot_bound(2, p)
     with pytest.raises(OverflowError):
         int64_dot_bound(1 << 63, 2)
+
+
+def test_residue_batch_overflow_refused():
+    # m*k = 2 digit products of size (p-1)**2 reach 2**63 for this prime,
+    # so the batch is refused before its p**2 digit rows are allocated
+    F = GF(3037000493)
+    ring = ResidueRing(Poly(F, [1, 0, 1]), check=False)
+    with pytest.raises(OverflowError):
+        ring.batch()
+
+
+def test_residue_batch_matches_ring():
+    # the digit engine on prime and extension fields against ResidueRing,
+    # horner and the codec: all pairs up to 81 residues, a sample above
+    rng = random.Random(72)
+    for q, deg in ((2, 3), (2, 7), (3, 2), (3, 5), (4, 2), (4, 4), (8, 1),
+                   (8, 2), (9, 2), (9, 3)):
+        F = GF(q)
+        ring = ResidueRing(random_irreducible(F, deg, 1), check=False)
+        batch = ring.batch()
+        elems = list(ring.elements())
+        assert (batch.digits == digit_rows(F, elems, deg)).all()
+        assert (batch.encode(batch.digits) == np.arange(ring.size)).all()
+        for _ in range(10):
+            g = random_poly(F, 2 * deg, rng)
+            assert (batch.poly_rows(g)
+                    == batch.digits[ring.index(g % ring.f)]).all()
+        if ring.size <= 81:
+            pairs = list(product(range(ring.size), repeat=2))
+        else:
+            pairs = [(rng.randrange(ring.size), rng.randrange(ring.size))
+                     for _ in range(400)]
+        ia, ib = map(list, zip(*pairs))
+        want = [ring.mul(elems[i], elems[j]) for i, j in pairs]
+        got = batch.mul(batch.digits[ia], batch.digits[ib])
+        assert (got == digit_rows(F, want, deg)).all()
+        coeffs = [random_poly(F, deg + 1, rng) for _ in range(4)]
+        xs = sorted(set(ia))
+        want = [horner(coeffs, elems[i], ring.f) for i in xs]
+        got = batch.eval_univariate(coeffs, batch.digits[xs])
+        assert (got == digit_rows(F, want, deg)).all()
 
 
 def test_residue_inverse_roundtrip(F3):
