@@ -29,7 +29,8 @@ import numpy as np
 
 from .intervals import Interval, zero_interval
 from .curves import BivarPoly
-from .poly import Poly, horner, one, sort_key, zero
+from .poly import (Poly, horner, monic_irreducibles_of_degree, one, sort_key,
+                   zero)
 from .residues import (ResidueRing, coeff_rows, digit_rows, int64_dot_bound,
                        mul_matrix)
 
@@ -129,13 +130,10 @@ _IRREDUCIBLE_CACHE: dict = {}
 
 
 def _monic_irreducibles_of_degree(fld, deg):
-    from .poly import is_irreducible
     key = (fld, deg)
     cached = _IRREDUCIBLE_CACHE.get(key)
     if cached is None:
-        cached = tuple(cand for tail in product(fld.elements(), repeat=deg)
-                       for cand in (Poly(fld, tuple(tail) + (fld.one,)),)
-                       if is_irreducible(cand))
+        cached = tuple(monic_irreducibles_of_degree(fld, deg))
         _IRREDUCIBLE_CACHE[key] = cached
     return cached
 

@@ -11,6 +11,14 @@ field this is the integer order on representatives.
 Extension moduli come from a fixed built-in table for small (p, k) and
 from a seeded deterministic search otherwise; the modulus is always
 recorded on the field object so runs are reproducible.
+
+An extension field does its arithmetic with three tables of size O(q),
+built from a primitive element g (Lidl & Niederreiter, *Finite Fields*,
+ch. 2): the powers g^i, the discrete log of every element, and the Zech
+log Z(d) with 1 + g^d = g^Z(d).  The bootstrap (the modulus check and the
+search for g) runs in `Poly` arithmetic over F_p.  The tables hold about
+6q list entries, so q is bounded by `_TABLE_LIMIT` = 2^16; a larger
+extension raises ValueError before any modulus search.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ _BUILTIN_MODULI = {
     (7, 4): (3, 4, 5, 0, 1),
 }
 
-_TABLE_LIMIT = 4096  # largest q for which dense mul tables are built
+_TABLE_LIMIT = 1 << 16  # largest extension q: its tables hold ~6q entries
 
 
 def is_prime(n: int) -> bool:
@@ -67,82 +75,25 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- helpers on F_p coefficient lists (ascending powers); used only for the
-#    extension-field bootstrap, general polynomials live in poly.py --
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _prem(a, b, p):
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        if a[-1]:
-            q = a[-1] * inv_lead % p
-            off = len(a) - len(b)
-            for j, bj in enumerate(b):
-                a[off + j] = (a[off + j] - q * bj) % p
-        a.pop()
-    return _trim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _prem(a, b, p)
-    return a
-
-
-def _ppowmod_u(e: int, f, p):
-    """u^e mod f(u) over F_p, square-and-multiply."""
-    result = [1]
-    base = _prem([0, 1], f, p)
-    while e:
-        if e & 1:
-            result = _prem(_pmul(result, base, p), f, p)
-        base = _prem(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _minus_u(c, p):
-    c = list(c) + [0] * max(0, 2 - len(c))
-    c[1] = (c[1] - 1) % p
-    return _trim(c)
-
-
-def _p_irreducible(f, p) -> bool:
-    """Rabin irreducibility test for monic f over F_p, deg f >= 1."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    if _ppowmod_u(p ** n, f, p) != [0, 1]:
-        return False
-    for r in prime_factors(n):
-        g = _pgcd(f, _minus_u(_ppowmod_u(p ** (n // r), f, p), p), p)
-        if len(g) != 1:
-            return False
-    return True
-
-
 class FiniteField:
-    """The field F_q with q = p^k, elements encoded as integers 0..q-1."""
+    """The field F_q with q = p^k, elements encoded as integers 0..q-1.
 
-    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_inv_table", "_hash")
+    For k > 1 each operation is a lookup in three tables built from a
+    primitive element g, with S = 2(q-1):
+
+    - `_exp[i]` = g^i for 0 <= i < S, then S + 1 zeros;
+    - `_log[a]` = log_g a for a != 0, and `_log[0]` = S, so any index sum
+      that involves a zero lands in the zero tail of `_exp`;
+    - `_zech[d]` = Z(d) with 1 + g^d = g^Z(d) (S when 1 + g^d = 0) for
+      0 <= d < q-1; a negative d reads Z(d mod (q-1)) by list indexing.
+
+    mul, inv and neg are single lookups with no test for zero; add returns
+    the other operand when one is zero, and pow treats a zero base apart.
+    Together the tables hold about 6q entries, hence the bound q <= 2^16.
+    """
+
+    __slots__ = ("p", "k", "q", "modulus", "_exp", "_log", "_zech",
+                 "_neg_shift", "_hash")
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None,
                  seed: int = 0):
@@ -157,18 +108,21 @@ class FiniteField:
             if modulus is not None:
                 raise ValueError("prime field takes no modulus")
             self.modulus = None
-            self._mul_table = None
-            self._inv_table = None
         else:
+            if self.q > _TABLE_LIMIT:
+                raise ValueError(f"extension field too large for its tables "
+                                 f"(q={self.q} > {_TABLE_LIMIT})")
+            from .poly import Poly, is_irreducible
             if modulus is None:
                 modulus = self._pick_modulus(p, k, seed)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if not _p_irreducible(list(modulus), p):
+            m = Poly(FiniteField(p), modulus)
+            if not is_irreducible(m):
                 raise ValueError("modulus is not irreducible over F_p")
             self.modulus = modulus
-            self._build_tables()
+            self._build_tables(m)
         self._hash = hash((self.p, self.k, self.modulus))
 
     @staticmethod
@@ -176,10 +130,12 @@ class FiniteField:
         if (p, k) in _BUILTIN_MODULI:
             return _BUILTIN_MODULI[(p, k)]
         import random
+        from .poly import Poly, is_irreducible
+        Fp = FiniteField(p)
         rng = random.Random(seed)
         while True:
             cand = [rng.randrange(p) for _ in range(k)] + [1]
-            if _p_irreducible(cand, p):
+            if is_irreducible(Poly(Fp, cand)):
                 return tuple(cand)
 
     # -- integer <-> u-coefficient vector (ascending powers, little-endian) --
@@ -199,27 +155,36 @@ class FiniteField:
             e = e * self.p + c % self.p
         return e
 
-    def _build_tables(self):
-        p, k, q, m = self.p, self.k, self.q, self.modulus
-        if q > _TABLE_LIMIT:
-            raise ValueError(f"extension field too large for dense tables (q={q})")
-        vecs = [_trim(list(self.element_coeffs(e))) for e in range(q)]
-        mul = [0] * (q * q)
-        for a in range(q):
-            row = a * q
-            for b in range(a, q):
-                prod = _prem(_pmul(vecs[a], vecs[b], p), list(m), p)
-                e = self.element_from_coeffs(prod)
-                mul[row + b] = e
-                mul[b * q + a] = e
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
+    def _build_tables(self, m):
+        """Find the first primitive g in canonical order, then tabulate.
+
+        m is the modulus as a `Poly` over F_p; the powers of g are walked
+        in F_p[u]/(m).
+        """
+        from .poly import Poly
+        p, q, Fp = self.p, self.q, m.field
+        one = Poly(Fp, (1,))
+        # the constants 1..p-1 have order dividing p-1, so start at g = u
+        for g in range(p, q):
+            gu = Poly(Fp, self.element_coeffs(g))
+            x, powers = one, [1]
+            for _ in range(q - 2):
+                x = x * gu % m
+                if x == one:
                     break
-        self._inv_table = inv
+                powers.append(self.element_from_coeffs(x.coeffs))
+            else:
+                break
+        S = 2 * (q - 1)
+        self._exp = powers * 2 + [0] * (S + 1)
+        self._log = log = [S] * q
+        for i, e in enumerate(powers):
+            log[e] = i
+        # 1 + e raises the low u-digit of e by one, mod p
+        self._zech = [log[e + 1 if e % p != p - 1 else e + 1 - p]
+                      for e in powers]
+        # -1 = g^((q-1)/2) for odd p; -a = a in characteristic 2
+        self._neg_shift = (q - 1) // 2 if p != 2 else 0
 
     # -- arithmetic --
 
@@ -232,29 +197,19 @@ class FiniteField:
         return 1
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.k == 1:
-            return (a + b) % p
-        out = 0
-        shift = 1
-        for _ in range(self.k):
-            out += (a + b) % p * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.k == 1:
-            return -a % p
-        out = 0
-        shift = 1
-        for _ in range(self.k):
-            out += -a % p * shift
-            a //= p
-            shift *= p
-        return out
+            return -a % self.p
+        return self._exp[self._log[a] + self._neg_shift]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -262,27 +217,23 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        return self._mul_table[a * self.q + b]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self._inv_table[a]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def elements(self) -> range:
         """All elements in canonical order."""

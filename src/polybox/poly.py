@@ -10,6 +10,7 @@ multiplicative and ultrametric: |a*b| = |a|*|b| and |a+b| <= max(|a|,|b|).
 from __future__ import annotations
 
 import random
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .ffield import FiniteField, prime_factors
@@ -347,14 +348,18 @@ def random_irreducible(field: FiniteField, deg: int, seed: int) -> Poly:
             return cand
 
 
+def monic_irreducibles_of_degree(field: FiniteField, deg: int):
+    """Yield the monic irreducibles of exact degree deg, canonical order."""
+    for tail in product(field.elements(), repeat=deg):
+        cand = Poly(field, tail + (field.one,))
+        if is_irreducible(cand):
+            yield cand
+
+
 def monic_irreducibles(field: FiniteField, max_deg: int):
     """Yield all monic irreducibles of degree 1..max_deg, canonical order."""
-    from itertools import product
-    for deg in range(1, max_deg + 1):
-        for tail in product(field.elements(), repeat=deg):
-            cand = Poly(field, tuple(tail) + (field.one,))
-            if is_irreducible(cand):
-                yield cand
+    return chain.from_iterable(monic_irreducibles_of_degree(field, d)
+                               for d in range(1, max_deg + 1))
 
 
 def frac_dist(X: Poly, f: Poly) -> int:

@@ -152,6 +152,18 @@ def test_extension_field_flags(tmp_path):
     assert doc["report"]["count"] == 4  # x of degree <= 0 over F_4
 
 
+def test_oversized_extension_field_exits_usage(tmp_path, capsys):
+    rc = main(["count-box", "--q", "2", "--ext-k", "17", "--curve", "Y-X^2",
+               "--n", "0", "--outdir", str(tmp_path)])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    schema = json.loads((SCHEMAS / "error.schema.json").read_text())
+    jsonschema.validate(payload, schema)
+    assert payload["error"]["type"] == "ValueError"
+    assert "q=131072" in payload["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_nlambda_and_census_commands(tmp_path):
     out = ["--outdir", str(tmp_path)]
     assert main(["ec", "nlambda", "--q", "2", "--n", "0", "--f", "T",

@@ -97,19 +97,28 @@ def test_count_methods_agree(F2, F3, F4, F9):
             assert len(counts) == 1
 
 
-def test_count_vector_path_matches_scalar(F3, F4):
-    # force the numpy path by a large modulus, compare against pure python
+def test_count_vector_path_matches_scalar(F3, F4, monkeypatch):
+    # the numpy path runs from 400 residues (3^6 = 729, 4^5 = 1024);
+    # compare it against pure python
     import polybox.curves as curves_mod
-    for F, deg_f in ((F3, 5), (F4, 5)):
+    batches = []
+    batch = ResidueRing.batch
+
+    def counted_batch(ring):
+        batches.append(ring)
+        return batch(ring)
+    monkeypatch.setattr(ResidueRing, "batch", counted_batch)
+    for F, deg_f in ((F3, 6), (F4, 5)):
         f = random_irreducible(F, deg_f, 1)
         wcurve = bivar(F, {(0, 2): 1, (3, 0): -1 % F.p, (0, 0): -1 % F.p})
+        batches.clear()
         fast = count_points_mod(wcurve, f)
-        old = curves_mod._VECTOR_THRESHOLD
-        curves_mod._VECTOR_THRESHOLD = 10 ** 9
-        try:
+        assert batches, f"no vector path over GF({F.q})"
+        with monkeypatch.context() as m:
+            m.setattr(curves_mod, "_VECTOR_THRESHOLD", 10 ** 9)
+            batches.clear()
             slow = count_points_mod(wcurve, f)
-        finally:
-            curves_mod._VECTOR_THRESHOLD = old
+            assert not batches
         assert fast == slow
 
 

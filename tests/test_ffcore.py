@@ -12,6 +12,7 @@ from polybox import (GF, Interval, NEG_INF, Poly, constant, frac_dist,
                      is_irreducible, monic_irreducibles, one, parse_poly,
                      poly_gcd, poly_text, random_irreducible, zero,
                      zero_interval)
+from polybox.ffield import FiniteField
 from polybox.poly import horner, powmod, random_poly, T as T_of
 from polybox.residues import ResidueRing, digit_rows
 
@@ -35,7 +36,6 @@ def test_field_construction_rejects_bad_params():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
-    from polybox.ffield import FiniteField
     with pytest.raises(ValueError):
         FiniteField(4)
     with pytest.raises(ValueError):
@@ -60,6 +60,103 @@ def test_extension_modulus_recorded():
     F = GF(9)
     assert F.describe()["modulus"] == [2, 2, 1]
     assert GF(9) == GF(9)
+
+
+# -- extension-field tables against schoolbook F_p[u]/(m) --
+
+def _school_mul(a, b, p, m):
+    """a*b in F_p[u]/(m) on base-p digit lists; no polybox arithmetic."""
+    k = len(m) - 1
+    da = [a // p ** i % p for i in range(k)]
+    db = [b // p ** i % p for i in range(k)]
+    out = [0] * (2 * k - 1)
+    for i, ai in enumerate(da):
+        for j, bj in enumerate(db):
+            out[i + j] += ai * bj
+    for top in range(2 * k - 2, k - 1, -1):  # m is monic: clear out[top]
+        c = out[top]
+        for j, mj in enumerate(m):
+            out[top - k + j] -= c * mj
+    return sum(c % p * p ** i for i, c in enumerate(out[:k]))
+
+
+def _school_pow(a, e, p, m):
+    result = 1
+    while e:
+        if e & 1:
+            result = _school_mul(result, a, p, m)
+        a = _school_mul(a, a, p, m)
+        e >>= 1
+    return result
+
+
+def _school_add(a, b, p, sign=1):
+    out, shift = 0, 1
+    while a or b:
+        out += (a % p + sign * (b % p)) % p * shift
+        a, b, shift = a // p, b // p, shift * p
+    return out
+
+
+def _check_against_schoolbook(F, pairs, exponents):
+    p, m = F.p, F.modulus
+    for a, b in pairs:
+        assert F.add(a, b) == _school_add(a, b, p)
+        assert F.sub(a, b) == _school_add(a, b, p, -1)
+        assert F.neg(b) == _school_add(0, b, p, -1)
+        assert F.mul(a, b) == _school_mul(a, b, p, m)
+        if a:
+            assert _school_mul(a, F.inv(a), p, m) == 1
+    for a in {a for a, _ in pairs}:
+        for e in exponents:
+            want = _school_pow(a, abs(e), p, m)
+            if e >= 0:
+                assert F.pow(a, e) == want
+            elif a:
+                assert _school_mul(F.pow(a, e), want, p, m) == 1
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
+def test_extension_tables_all_pairs(q):
+    F = GF(q)
+    pairs = list(product(range(q), repeat=2))
+    _check_against_schoolbook(F, pairs, (0, 1, 2, 3, q - 2, q - 1, q + 5, -1,
+                                         -2))
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+@pytest.mark.parametrize("q", [256, 1024, 4096])
+def test_extension_tables_seeded_pairs(q):
+    F = GF(q)
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    _check_against_schoolbook(F, pairs, ())
+    _check_against_schoolbook(F, pairs[:100] + [(0, 1)],
+                              (0, 1, q - 1, rng.randrange(2 * q), -3))
+
+
+@pytest.mark.parametrize("p,k,seed,modulus", [
+    (2, 5, 0, (1, 1, 0, 1, 1, 1)),
+    (2, 8, 0, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+    (2, 12, 7, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1)),
+    (3, 5, 0, (2, 2, 0, 2, 1, 1)),
+    (5, 5, 1, (3, 0, 4, 1, 3, 1)),
+    (13, 2, 9, (5, 8, 1)),
+])
+def test_seeded_moduli_pinned(p, k, seed, modulus):
+    assert FiniteField._pick_modulus(p, k, seed) == modulus
+    assert FiniteField(p, k, seed=seed).modulus == modulus
+
+
+def test_extension_field_size_guard(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("modulus search ran before the size guard")
+    monkeypatch.setattr(FiniteField, "_pick_modulus", staticmethod(no_search))
+    with pytest.raises(ValueError, match="too large"):
+        FiniteField(2, 17)
+    with pytest.raises(ValueError, match="too large"):
+        GF(3 ** 11)
 
 
 # -- ring ops --
