@@ -1,8 +1,9 @@
 """W-set determinants, divisibility, expectation identity, interpolation."""
 
 import random
+import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,6 +13,9 @@ from polybox import (BudgetExceededError, FullRankError, Poly, bivar,
                      proportional, random_irreducible, valuation,
                      verify_ord_inequality, wset_determinant, wset_grid,
                      wset_linear, zero)
+from polybox import detmethod
+from polybox.detmethod import OrdReport
+from polybox.grammar import poly_text
 from polybox.linalg import det_bareiss, det_cofactor
 from polybox.poly import T as T_of, random_poly
 
@@ -153,6 +157,114 @@ def test_ord_inequality_budget(F2):
         verify_ord_inequality(W, S, T_of(F2), budget=10)
 
 
+def _ord_reference(W, S, f):
+    """The ordered-tuple loop: one cofactor (omega <= 5) or Bareiss
+    determinant per tuple of S^omega with distinct indices."""
+    pts = list(S)
+    om = W.omega
+    evals = [[Fm.evaluate(x, y) for (x, y) in pts] for Fm in W.forms]
+    admissible = sum_ord = sum_kappa = 0
+    bad = []
+    for idx in product(range(len(pts)), repeat=om):
+        if len(set(idx)) < om:
+            continue
+        rows = [[evals[i][j] for j in idx] for i in range(om)]
+        det = det_cofactor(rows) if om <= 5 else det_bareiss(rows)
+        if not det:
+            continue
+        admissible += 1
+        kap = collision_count([pts[j] for j in idx], f)
+        o = detmethod.valuation(det, f)
+        sum_ord += o
+        sum_kappa += kap
+        if o < kap:
+            bad.append({"tuple": [[poly_text(pts[j][0]), poly_text(pts[j][1])]
+                                  for j in idx],
+                        "ord": o, "kappa": kap})
+    return OrdReport(omega=om, d_w=W.total_degree,
+                     tuples_total=len(pts) ** om,
+                     tuples_admissible=admissible, sum_ord=sum_ord,
+                     sum_kappa=sum_kappa, passed=not bad,
+                     counterexamples=tuple(bad))
+
+
+_WSETS = {3: wset_linear,
+          4: lambda F: wset_grid(F, 1, 1),
+          6: lambda F: wset_grid(F, 1, 2)}
+
+
+def _shifted_points(field, count, rng):
+    """count distinct points near a nonzero base of degree 3 in each
+    coordinate, so that low-degree moduli see collisions."""
+    bx = Poly(field, [rng.randrange(field.q) for _ in range(3)] + [1])
+    by = Poly(field, [rng.randrange(field.q) for _ in range(3)] + [1])
+    pts = set()
+    while len(pts) < count:
+        pts.add((bx + random_poly(field, 2, rng),
+                 by + random_poly(field, 2, rng)))
+    return sorted(pts, key=lambda p: (p[0].coeffs, p[1].coeffs))
+
+
+def _differential_cases(F2, F3, F4):
+    rng = random.Random(83)
+    for F in (F2, F3, F4):
+        for om, size in ((3, 7), (4, 6), (6, 6)):
+            S = _shifted_points(F, size, rng)
+            f = random_irreducible(F, 1 + (om == 4), rng.randrange(4))
+            yield _WSETS[om](F), S, f
+    # a duplicated point, and fewer points than omega
+    S = _shifted_points(F3, 5, rng)
+    yield _WSETS[4](F3), S + [S[2]], T_of(F3)
+    yield _WSETS[4](F4), _shifted_points(F4, 3, rng), T_of(F4)
+    yield _WSETS[6](F2), [], T_of(F2)
+
+
+def test_ord_inequality_matches_tuple_loop(F2, F3, F4):
+    for W, S, f in _differential_cases(F2, F3, F4):
+        rep = verify_ord_inequality(W, S, f)
+        assert rep.to_json() == _ord_reference(W, S, f).to_json()
+
+
+def test_ord_inequality_forced_failures_match_tuple_loop(F2, F3,
+                                                         monkeypatch):
+    monkeypatch.setattr(detmethod, "valuation", lambda a, f: 0)
+    rng = random.Random(9)
+    for F, om in ((F2, 3), (F3, 4)):
+        S = _shifted_points(F, 6, rng)
+        f = T_of(F)
+        rep = verify_ord_inequality(_WSETS[om](F), S, f)
+        ref = _ord_reference(_WSETS[om](F), S, f)
+        assert not rep.passed and rep.to_json()["pass"] is False
+        assert rep.counterexamples
+        assert list(rep.counterexamples) == list(ref.counterexamples)
+        assert rep.to_json() == ref.to_json()
+
+
+def test_ord_inequality_omega6_nine_points(F3):
+    # 9^6 = 531441 tuples; the reference takes one Bareiss determinant
+    # per 6-subset, times its 720 orderings
+    rng = random.Random(6)
+    W = wset_grid(F3, 1, 2)
+    S = _shifted_points(F3, 9, rng)
+    f = Poly(F3, [1, 1])
+    start = time.perf_counter()
+    rep = verify_ord_inequality(W, S, f)
+    elapsed = time.perf_counter() - start
+    admissible = sum_ord = sum_kappa = 0
+    for sub in combinations(S, 6):
+        det = det_bareiss([[Fm.evaluate(x, y) for (x, y) in sub]
+                           for Fm in W.forms])
+        if det:
+            admissible += 720
+            sum_ord += 720 * valuation(det, f)
+            sum_kappa += 720 * collision_count(sub, f)
+    assert rep.passed and rep.tuples_total == 531441
+    assert (rep.tuples_admissible, rep.sum_ord, rep.sum_kappa) == \
+        (admissible, sum_ord, sum_kappa)
+    assert sum_kappa > 0
+    assert elapsed < 2.0
+
+
 def test_divisibility_spot_example(F2):
     # S with one congruent pair mod T: the mixed tuple determinant is
     # divisible by T exactly once
@@ -208,6 +320,30 @@ def test_mean_identity_exhaustive_small(F2, F3):
                                        rng.randrange(4))
                 rep = mean_distinct_identity(S, f, om)
                 assert rep.passed
+
+
+def test_distinct_count_sum_matches_tuple_loop():
+    rng = random.Random(5)
+    cases = [[0], [0] * 4, [0, 0, 1], [0, 1, 2, 3, 4, 5]]
+    cases += [[rng.randrange(3) for _ in range(rng.randrange(2, 6))]
+              for _ in range(4)]
+    for ids in cases:
+        for om in range(0, 7):
+            want = sum(len({ids[j] for j in idx})
+                       for idx in product(range(len(ids)), repeat=om))
+            assert detmethod._distinct_count_sum(ids, om) == want
+    with pytest.raises(ValueError):
+        detmethod._distinct_count_sum([0, 1], -1)
+
+
+def test_mean_identity_one_residue(F3):
+    # every point congruent mod T: each tuple sees exactly one residue
+    t = T_of(F3)
+    S = [(t * Poly(F3, [a]), t * Poly(F3, [b])) for a in range(3)
+         for b in range(2)]
+    for om in range(1, 7):
+        rep = mean_distinct_identity(S, t, om)
+        assert rep.passed and rep.lhs == 1
 
 
 # -- interpolation --
