@@ -20,7 +20,6 @@ set modulo f) live here too.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import islice, product
@@ -37,6 +36,7 @@ from .residues import (ResidueRing, coeff_rows, digit_rows, int64_dot_bound,
 _NAIVE_LIMIT = 1 << 12   # pair count up to which the double loop is fine
 _COMBO_CAP = 4096        # CRT candidate combinations per x before fallback
 _MODULUS_SIZE_CAP = 128  # preferred residue-plane size for root tables
+_ROWS_PER_PASS = 1 << 16  # x per sieve pass and lift rows per part
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,8 @@ class CrtRootSolver:
         width = self.M.degree * k
         high = (box_y.bound + 1) * k   # digits of T**(bound+1) and above
         top = digit_rows(fld, [box_y.base], self.M.degree)[0, high:]
-        rows_per_pass = 1 << 16   # bounds the (rows, width) lift arrays
         xs = iter(xs)
-        while chunk := list(islice(xs, rows_per_pass)):
+        while chunk := list(islice(xs, _ROWS_PER_PASS)):
             d = max(1, max(len(x.coeffs) for x in chunk))
             int64_dot_bound(d * k, p)
             X = digit_rows(fld, chunk, d)
@@ -271,7 +270,7 @@ class CrtRootSolver:
             sel = np.flatnonzero((combos > 0) & (combos <= cap))
             starts = np.cumsum(combos[sel]) - combos[sel]
             for part in np.split(sel, np.flatnonzero(
-                    np.diff(starts // rows_per_pass)) + 1):
+                    np.diff(starts // _ROWS_PER_PASS)) + 1):
                 acc = np.zeros((len(part), width), dtype=np.int64)
                 for i, (counts, roots, lift) in zip(idx, self.lifts):
                     res = i[part]
@@ -311,13 +310,9 @@ def _resolve_strategy(F, box_x, box_y, strategy):
     return "crt"
 
 
-def _chunk_points(args):
-    return _crt_points(*args)
-
-
 def enumerate_box_points(F: BivarPoly, box_x: Interval,
                          box_y: Interval | None = None,
-                         strategy: str = "auto", jobs: int = 1,
+                         strategy: str = "auto",
                          _solver: CrtRootSolver | None = None) -> PointSet:
     """All zeros of F in box_x x box_y (box_y defaults to box_x)."""
     if not F:
@@ -336,17 +331,7 @@ def enumerate_box_points(F: BivarPoly, box_x: Interval,
         if solver is None:
             bound = max(box_x.max_degree(), box_y.max_degree())
             solver = CrtRootSolver(F, bound)
-        if jobs > 1:
-            xs = list(box_x)
-            step = max(1, math.ceil(len(xs) / jobs))
-            chunks = [(F, xs[i:i + step], box_y, solver)
-                      for i in range(0, len(xs), step)]
-            pts = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_chunk_points, chunks):
-                    pts.extend(part)
-        else:
-            pts = _crt_points(F, box_x, box_y, solver)
+        pts = _crt_points(F, box_x, box_y, solver)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return PointSet(points=_sorted_points(pts), curve=F, box=(box_x, box_y))
@@ -380,8 +365,8 @@ class ExponentScan:
 
 
 def exponent_scan(F: BivarPoly, ns, base_x: Poly | None = None,
-                  base_y: Poly | None = None, strategy: str = "auto",
-                  jobs: int = 1) -> ExponentScan:
+                  base_y: Poly | None = None,
+                  strategy: str = "auto") -> ExponentScan:
     """One row per n: box size, point count, and the per-row exponent."""
     ns = sorted(set(int(n) for n in ns))
     if not ns:
@@ -399,7 +384,7 @@ def exponent_scan(F: BivarPoly, ns, base_x: Poly | None = None,
             top = max(Interval(bx, ns[-1]).max_degree(),
                       Interval(by, ns[-1]).max_degree())
             solver = CrtRootSolver(F, top)
-        S = enumerate_box_points(F, box_x, box_y, strategy=strat, jobs=jobs,
+        S = enumerate_box_points(F, box_x, box_y, strategy=strat,
                                  _solver=solver if strat == "crt" else None)
         size = box_x.size
         count = len(S)

@@ -107,8 +107,7 @@ def _cmd_count_box(params: dict, field: FiniteField) -> CommandResult:
     params["curve"] = curve_text(curve)
     bx, by = _boxes(params, field)
     S = enumerate_box_points(curve, bx, by,
-                             strategy=params.get("strategy", "auto"),
-                             jobs=params.get("jobs", 1))
+                             strategy=params.get("strategy", "auto"))
     pts = [[poly_text(x), poly_text(y)] for (x, y) in S]
     report = {"count": len(S), "size_I": bx.size, "points": pts}
     return CommandResult(report=report, csv_header=["x", "y"], csv_rows=pts)
@@ -121,8 +120,7 @@ def _cmd_exponent_scan(params: dict, field: FiniteField) -> CommandResult:
     scan = exponent_scan(curve, range(lo, hi + 1),
                          base_x=_resolve_base(params, field, "base_x"),
                          base_y=_resolve_base(params, field, "base_y"),
-                         strategy=params.get("strategy", "auto"),
-                         jobs=params.get("jobs", 1))
+                         strategy=params.get("strategy", "auto"))
     rows = [[r.n, r.size, r.count, repr(r.exponent)] for r in scan.rows]
     report = {
         "rows": [{"n": r.n, "size_I": r.size, "count": r.count,
@@ -139,7 +137,7 @@ def _cmd_residue_stats(params: dict, field: FiniteField) -> CommandResult:
     params["curve"] = curve_text(curve)
     f = _resolve_f(params, field)
     bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by, jobs=params.get("jobs", 1))
+    S = enumerate_box_points(curve, bx, by)
     if not len(S):
         raise PolyboxError("empty point set: residue statistics undefined")
     prof = residue_stats(S, f)
@@ -168,7 +166,7 @@ def _cmd_detlab_ord(params: dict, field: FiniteField) -> CommandResult:
     f = _resolve_f(params, field)
     W = _wset_from(params, field)
     bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by, jobs=params.get("jobs", 1))
+    S = enumerate_box_points(curve, bx, by)
     rep = verify_ord_inequality(W, S, f, budget=params.get("budget", 10 ** 6))
     return CommandResult(report=rep.to_json(), violation=not rep.passed)
 
@@ -179,7 +177,7 @@ def _cmd_detlab_mean_identity(params: dict,
     params["curve"] = curve_text(curve)
     f = _resolve_f(params, field)
     bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by, jobs=params.get("jobs", 1))
+    S = enumerate_box_points(curve, bx, by)
     if not len(S):
         raise PolyboxError("empty point set")
     rep = mean_distinct_identity(S, f, params["omega"],
@@ -194,7 +192,7 @@ def _cmd_detlab_interpolate(params: dict, field: FiniteField) -> CommandResult:
     params["curve"] = curve_text(curve)
     d = params["d"]
     bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by, jobs=params.get("jobs", 1))
+    S = enumerate_box_points(curve, bx, by)
     need = d * d + 1
     pts = list(S)[:need]
     if len(pts) < need:
@@ -213,7 +211,7 @@ def _cmd_detlab_wcurve_max(params: dict, field: FiniteField) -> CommandResult:
     params["curve"] = curve_text(curve)
     W = _wset_from(params, field)
     bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by, jobs=params.get("jobs", 1))
+    S = enumerate_box_points(curve, bx, by)
     if not len(S):
         raise PolyboxError("empty point set")
     value = max_points_on_wcurve(W, S, budget=params.get("budget", 10 ** 5))
@@ -330,7 +328,7 @@ def _write_outputs(command: str, manifest: dict, result: CommandResult,
 
 
 def run_manifest(command: str, params: dict, out: str | None,
-                 outdir: str, jobs: int = 1) -> int:
+                 outdir: str) -> int:
     """Execute a command from normalized params; write reports.
 
     Handlers may rewrite params to their resolved canonical form (curve
@@ -341,10 +339,8 @@ def run_manifest(command: str, params: dict, out: str | None,
     if handler is None:
         raise PolyboxError(f"unknown command {command!r}")
     working = dict(params)
-    working["jobs"] = jobs
     field = _field_from(working)
     result = handler(working, field)
-    working.pop("jobs", None)
     manifest = _manifest(command, working, field.describe())
     for path in _write_outputs(command, manifest, result, out, outdir):
         print(f"wrote: {path}")
@@ -364,7 +360,6 @@ def _add_common(sub, *, needs_curve=False, needs_n=False, needs_f=False,
                      help="JSON coefficient array for the extension modulus")
     sub.add_argument("--seed", type=int,
                      default=int(os.environ.get("POLYBOX_SEED", "0")))
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out", choices=["csv", "json"], default=None,
                      help="write only this format (default: both)")
     sub.add_argument("--outdir", default=".")
@@ -503,8 +498,7 @@ def main(argv=None) -> int:
         if getattr(args, "subcommand", None):
             command = f"{args.command} {args.subcommand}"
         params = _params_from_args(args)
-        return run_manifest(command, params, args.out, args.outdir,
-                            jobs=getattr(args, "jobs", 1))
+        return run_manifest(command, params, args.out, args.outdir)
     except BudgetExceededError as exc:
         _print_error(exc, _EXIT_BUDGET)
         return _EXIT_BUDGET

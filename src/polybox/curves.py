@@ -44,9 +44,6 @@ class BivarPoly:
     def __setattr__(self, *a):
         raise AttributeError("BivarPoly is immutable")
 
-    def __reduce__(self):
-        return (BivarPoly, (self.field, self.terms))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -207,7 +204,7 @@ def count_points_mod(F: BivarPoly, f, method: str = "auto") -> int:
     raise ValueError(f"unknown counting method {method!r}")
 
 
-def _split_separable(Fr: BivarPoly, ring):
+def _split_separable(Fr: BivarPoly):
     """Coefficient lists of A(X) and B(Y) with F = A + B, constant in A."""
     a_terms: dict[int, Poly] = {}
     b_terms: dict[int, Poly] = {}
@@ -224,7 +221,7 @@ def _split_separable(Fr: BivarPoly, ring):
 
 
 def _count_separable(Fr: BivarPoly, ring: ResidueRing) -> int:
-    A, B = _split_separable(Fr, ring)
+    A, B = _split_separable(Fr)
     if ring.size >= _VECTOR_THRESHOLD:
         batch = ring.batch()
         xs = batch.digits

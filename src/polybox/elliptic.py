@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,18 +105,38 @@ def count_nlambda(I: Interval, lam: Poly, f) -> int:
     return total
 
 
+def _ratio_classes(I: Interval, ring: ResidueRing):
+    """The pairs (a, b) in I^2 classed by the ratio a^3 / b^2 mod f.
+
+    Returns (hist, b_zero, both): hist maps the coefficient tuple of each
+    ratio with unit b to its pair count, b_zero counts the pairs with
+    b = 0 and a a unit, both those with a = b = 0.  Each member's cube and
+    each unit b's inverse square are computed once.
+    """
+    cubes = [ring.pow(a, 3) for a in I]
+    inv_squares = [ring.inv(ring.mul(b, b)) for b in I if b % ring.f]
+    hist = Counter(ring.mul(a3, s).coeffs
+                   for a3 in cubes for s in inv_squares)
+    zeros = len(cubes) - len(inv_squares)   # members b = 0 mod f
+    units = sum(map(bool, cubes))
+    return hist, zeros * units, zeros * (len(cubes) - units)
+
+
 def count_invariant_pairs(I: Interval, f, method: str = "auto") -> int:
     """Solutions ((a,b),(c,d)) in I^4 of a^3 d^2 = c^3 b^2 mod f.
 
-    'quad' is the literal four-fold loop; 'bucket' classifies each pair by
-    the ratio a^3 / b^2 (unit b), by b = 0 with unit a, or by both zero,
-    and combines the class sizes.  Both give the same count.
+    'quad' is the literal four-fold product test; 'bucket' classifies each
+    pair by the ratio a^3 / b^2 (unit b), by b = 0 with unit a, or by both
+    zero (`_ratio_classes`), and combines the class sizes.  Both give the
+    same count.
     """
     ring = ResidueRing.of(f)
     if method == "auto":
         method = "quad" if I.size ** 4 <= 2 ** 16 else "bucket"
-    pairs = [(ring.pow(a, 3), ring.pow(b, 2)) for a in I for b in I]
     if method == "quad":
+        cubes = [ring.pow(a, 3) for a in I]
+        squares = [ring.pow(b, 2) for b in I]
+        pairs = [(a3, b2) for a3 in cubes for b2 in squares]
         total = 0
         for a3, b2 in pairs:
             for c3, d2 in pairs:
@@ -124,21 +145,11 @@ def count_invariant_pairs(I: Interval, f, method: str = "auto") -> int:
         return total
     if method != "bucket":
         raise ValueError(f"unknown census method {method!r}")
-    unit_buckets: dict = {}
-    z_count = 0
-    both_count = 0
-    for a3, b2 in pairs:
-        if b2:
-            key = ring.mul(a3, ring.inv(b2)).coeffs
-            unit_buckets[key] = unit_buckets.get(key, 0) + 1
-        elif a3:
-            z_count += 1
-        else:
-            both_count += 1
-    u_total = sum(unit_buckets.values())
-    return (sum(v * v for v in unit_buckets.values())
-            + (z_count + both_count) ** 2
-            + 2 * u_total * both_count)
+    hist, b_zero, both = _ratio_classes(I, ring)
+    u_total = sum(hist.values())
+    return (sum(v * v for v in hist.values())
+            + (b_zero + both) ** 2
+            + 2 * u_total * both)
 
 
 # -- simultaneous approximation --
@@ -351,19 +362,9 @@ def ninth_window_scan(I: Interval, f, force: bool = False) -> NinthWindowReport:
     ring = ResidueRing.of(f)
     if not force and I.size ** 9 > ring.size:
         raise PolyboxError("box too large: need |I|^9 <= |f| (use force)")
-    buckets: dict = {}
-    both = 0
-    for a in I:
-        a3 = ring.pow(a, 3)
-        for b in I:
-            br = b % ring.f
-            if br:
-                key = ring.mul(a3, ring.inv(ring.mul(br, br)))
-                buckets[key.coeffs] = buckets.get(key.coeffs, 0) + 1
-            elif not a3:
-                both += 1
+    hist, _, both = _ratio_classes(I, ring)
     fld = ring.field
-    rows = sorted(((Poly(fld, k), v + both) for k, v in buckets.items()),
+    rows = sorted(((Poly(fld, k), v + both) for k, v in hist.items()),
                   key=lambda kv: sort_key(kv[0]))
     max_count = max((c for _, c in rows), default=0)
     ratio = (max_count / I.size ** (1.0 / 3.0)) if rows else 0.0

@@ -33,9 +33,6 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
-    def __reduce__(self):
-        return (Poly, (self.field, self.coeffs))
-
     # -- structure --
 
     @property

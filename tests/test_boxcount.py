@@ -8,6 +8,7 @@ import pytest
 from polybox import (GF, BivarPoly, Interval, Poly, bivar,
                      enumerate_box_points, exponent_scan, one,
                      random_irreducible, residue_stats, zero, zero_interval)
+from polybox import boxcount
 from polybox.boxcount import CrtRootSolver, _crt_points
 from polybox.poly import T as T_of, random_poly
 
@@ -175,34 +176,38 @@ def _per_x_points(C, box_x, box_y, solver):
     return out, capped, expanded
 
 
-def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9):
+def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9,
+                                                monkeypatch):
     # the batched lift == per-x candidates() == naive, on shifted boxes;
     # Y^2 = X^3 + aX + b in odd characteristic has two roots modulo many
     # moduli, and combo_cap 2 sends those x to the fallback, on prime and
-    # on extension fields
-    rng = random.Random(66)
-    capped, expanded = {}, {}
-    for F, n in ((F2, 3), (F3, 2), (F5, 1), (F4, 2), (F9, 1)):
-        t = T_of(F)
-        curves = [_rand_bivar(F, 3, 1, rng) for _ in range(3)]
-        if F.p > 2:
-            curves.append(bivar(F, {(0, 2): 1, (3, 0): -1 % F.p,
-                                    (1, 0): -t, (0, 0): -(t + one(F))}))
-        for C in curves:
-            for cap in (4096, 2):
-                box_x = Interval(random_poly(F, 2, rng), n)
-                box_y = Interval(random_poly(F, 2, rng), n)
-                bound = max(box_x.max_degree(), box_y.max_degree())
-                solver = CrtRootSolver(C, bound, combo_cap=cap)
-                got = _crt_points(C, box_x, box_y, solver)
-                ref, c, e = _per_x_points(C, box_x, box_y, solver)
-                capped[F.k > 1] = capped.get(F.k > 1, 0) + c
-                expanded[F.k > 1] = expanded.get(F.k > 1, 0) + e
-                assert sorted(got, key=str) == sorted(ref, key=str)
-                naive = enumerate_box_points(C, box_x, box_y,
-                                             strategy="naive").points
-                assert set(got) == set(naive)
-    assert all(capped[ext] and expanded[ext] for ext in (False, True))
+    # on extension fields; at 5 rows per pass the same corpus also takes
+    # several x passes and splits the lift rows
+    for rows_per_pass in (boxcount._ROWS_PER_PASS, 5):
+        monkeypatch.setattr(boxcount, "_ROWS_PER_PASS", rows_per_pass)
+        rng = random.Random(66)
+        capped, expanded = {}, {}
+        for F, n in ((F2, 3), (F3, 2), (F5, 1), (F4, 2), (F9, 1)):
+            t = T_of(F)
+            curves = [_rand_bivar(F, 3, 1, rng) for _ in range(3)]
+            if F.p > 2:
+                curves.append(bivar(F, {(0, 2): 1, (3, 0): -1 % F.p,
+                                        (1, 0): -t, (0, 0): -(t + one(F))}))
+            for C in curves:
+                for cap in (4096, 2):
+                    box_x = Interval(random_poly(F, 2, rng), n)
+                    box_y = Interval(random_poly(F, 2, rng), n)
+                    bound = max(box_x.max_degree(), box_y.max_degree())
+                    solver = CrtRootSolver(C, bound, combo_cap=cap)
+                    got = _crt_points(C, box_x, box_y, solver)
+                    ref, c, e = _per_x_points(C, box_x, box_y, solver)
+                    capped[F.k > 1] = capped.get(F.k > 1, 0) + c
+                    expanded[F.k > 1] = expanded.get(F.k > 1, 0) + e
+                    assert sorted(got, key=str) == sorted(ref, key=str)
+                    naive = enumerate_box_points(C, box_x, box_y,
+                                                 strategy="naive").points
+                    assert set(got) == set(naive)
+        assert all(capped[ext] and expanded[ext] for ext in (False, True))
 
 
 def test_enumerate_monotone_in_n(F2):
@@ -212,14 +217,6 @@ def test_enumerate_monotone_in_n(F2):
         sizes = [len(enumerate_box_points(C, zero_interval(F2, n)))
                  for n in range(4)]
         assert sizes == sorted(sizes)
-
-
-def test_parallel_jobs_match_serial(F2):
-    C = bivar(F2, {(0, 2): 1, (3, 0): 1, (1, 0): 1, (0, 0): 1})
-    box = zero_interval(F2, 6)
-    serial = enumerate_box_points(C, box, strategy="crt", jobs=1)
-    parallel = enumerate_box_points(C, box, strategy="crt", jobs=2)
-    assert serial.points == parallel.points
 
 
 # -- exponent scan --

@@ -13,6 +13,7 @@ from polybox import (GF, ECPair, Interval, PigeonInstance, Poly,
                      pigeonhole_multiplier, pigeonhole_oracle,
                      random_irreducible, small_coeff_model, zero,
                      zero_interval)
+from polybox.elliptic import _ratio_classes
 from polybox.poly import T as T_of, random_poly
 
 
@@ -128,16 +129,31 @@ def test_census_example_16_quadruples(F2):
     assert count_invariant_pairs(I0, fT, method="bucket") == 10
 
 
-def test_census_methods_agree_and_dominate_diagonal(F2, F3):
+def _b_zero_boxes(fields):
+    """Shifted n = 1 boxes modulo a degree-1 f, one per field: some
+    nonzero members are 0 mod f, so pairs with b = 0 and a unit, and with
+    a = b = 0, both occur."""
+    rng = random.Random(19)
+    return [(Interval(random_poly(F, 1, rng), 1), random_irreducible(F, 1, 4))
+            for F in fields]
+
+
+def test_census_methods_agree_and_dominate_diagonal(F2, F3, F4):
     rng = random.Random(8)
+    cases = []
     for F in (F2, F3):
         f = random_irreducible(F, 2, 2)
         for n in (0, 1):
-            I = Interval(random_poly(F, 1, rng), n)
-            quad = count_invariant_pairs(I, f, method="quad")
-            bucket = count_invariant_pairs(I, f, method="bucket")
-            assert quad == bucket
-            assert quad >= I.size ** 2  # diagonal pairs always match
+            cases.append((Interval(random_poly(F, 1, rng), n), f))
+    cases += _b_zero_boxes((F3, F4))
+    for I, f in cases:
+        quad = count_invariant_pairs(I, f, method="quad")
+        bucket = count_invariant_pairs(I, f, method="bucket")
+        assert quad == bucket
+        assert quad >= I.size ** 2  # diagonal pairs always match
+    for I, f in cases[4:]:
+        _, b_zero, both = _ratio_classes(I, ResidueRing(f))
+        assert b_zero and both
 
 
 def test_nlambda_sum_identity_exhaustive():
@@ -292,21 +308,24 @@ def test_scan_window_guard(F2):
     ninth_window_scan(zero_interval(F2, 0), f, force=True)
 
 
-def test_scan_rows_are_unit_realized(F2):
-    f = random_irreducible(F2, 18, 2)
-    I = zero_interval(F2, 1)
-    rep = ninth_window_scan(I, f)
-    ring = ResidueRing(f, check=False)
-    realized = set()
-    for a in I:
-        for b in I:
-            if b % f:
-                key = ring.mul(ring.pow(a, 3),
-                               ring.inv(ring.pow(b, 2)))
-                realized.add(key.coeffs)
-    assert {lam.coeffs for lam, _ in rep.rows} == realized
-    for lam, count in rep.rows:
-        assert count == count_nlambda(I, lam, ring)
+def test_scan_rows_are_unit_realized(F2, F3, F4, F9):
+    # the ninth-root window over GF(2), and forced scans on boxes where
+    # b = 0 mod f for nonzero b, on prime and extension fields
+    cases = [(zero_interval(F2, 1), random_irreducible(F2, 18, 2), False)]
+    cases += [(I, f, True) for I, f in _b_zero_boxes((F3, F4, F9))]
+    for I, f, force in cases:
+        rep = ninth_window_scan(I, f, force=force)
+        ring = ResidueRing(f, check=False)
+        realized = set()
+        for a in I:
+            for b in I:
+                if b % f:
+                    key = ring.mul(ring.pow(a, 3),
+                                   ring.inv(ring.pow(b, 2)))
+                    realized.add(key.coeffs)
+        assert {lam.coeffs for lam, _ in rep.rows} == realized
+        for lam, count in rep.rows:
+            assert count == count_nlambda(I, lam, ring)
 
 
 def test_scan_includes_extremal_class(F2):
