@@ -14,15 +14,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import PolyboxError
 from .intervals import Interval
 from .linalg import gf_kernel_vector
 from .poly import Poly, constant, frac_dist, one, sort_key
-from .residues import ResidueRing
+from .residues import ResidueRing, coeff_rows, digit_rows
+
+# entries per transient census array: product rows times their width,
+# or compared pairs
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,67 +94,92 @@ def _witness_ok(a, b, c, d, t, ring) -> bool:
 
 
 # -- box censuses --
+#
+# Box members are digit rows mod f (ResidueBatch.box_rows); cubes, squares
+# and products come from ResidueBatch.mul, and classes are counted on
+# encoded residue indices, so no census holds an array of |f| rows.
+
+def _box_powers(I: Interval, ring: ResidueRing):
+    """Digit rows (cubes, squares) of the members of I mod f, in order."""
+    batch = ring.batch()
+    a = batch.box_rows(I)
+    squares = batch.mul(a, a)
+    return batch.mul(squares, a), squares
+
+
+def _pair_products(batch, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """encode(x * y) for x in xs, y in ys, flat with x major.
+
+    Computed in blocks of x, about _BLOCK product digits a block.
+    """
+    width = (2 * batch.m - 1) * batch.k
+    step = max(1, _BLOCK // max(1, len(ys) * width))
+    return np.concatenate([
+        batch.encode(batch.mul(np.repeat(xs[i:i + step], len(ys), axis=0),
+                               np.tile(ys, (len(xs[i:i + step]), 1))))
+        for i in range(0, len(xs), step)])
+
 
 def count_nlambda(I: Interval, lam: Poly, f) -> int:
     """Pairs (a, b) in I^2 with a^3 = lambda * b^2 mod f, exhaustively."""
     ring = ResidueRing.of(f)
-    hist: dict = {}
-    for a in I:
-        key = ring.pow(a, 3).coeffs
-        hist[key] = hist.get(key, 0) + 1
-    lam = lam % ring.f
-    total = 0
-    for b in I:
-        target = ring.mul(lam, ring.mul(b % ring.f, b % ring.f))
-        total += hist.get(target.coeffs, 0)
-    return total
+    batch = ring.batch()
+    cubes, squares = _box_powers(I, ring)
+    keys, counts = np.unique(batch.encode(cubes), return_counts=True)
+    lam_row = digit_rows(ring.field, [lam % ring.f], ring.deg)
+    targets = batch.encode(batch.mul(lam_row, squares))
+    pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
+    return int(counts[pos[keys[pos] == targets]].sum())
 
 
 def _ratio_classes(I: Interval, ring: ResidueRing):
     """The pairs (a, b) in I^2 classed by the ratio a^3 / b^2 mod f.
 
-    Returns (hist, b_zero, both): hist maps the coefficient tuple of each
-    ratio with unit b to its pair count, b_zero counts the pairs with
-    b = 0 and a a unit, both those with a = b = 0.  Each member's cube and
-    each unit b's inverse square are computed once.
+    Returns ((keys, counts), b_zero, both): the residue indices of the
+    ratios with unit b, sorted, with their pair counts; b_zero counts the
+    pairs with b = 0 and a a unit, both those with a = b = 0.  Each unit
+    b's inverse square is computed once, and every product a^3 * b^-2 in
+    one batched pass.
     """
-    cubes = [ring.pow(a, 3) for a in I]
-    inv_squares = [ring.inv(ring.mul(b, b)) for b in I if b % ring.f]
-    hist = Counter(ring.mul(a3, s).coeffs
-                   for a3 in cubes for s in inv_squares)
+    batch = ring.batch()
+    fld = ring.field
+    cubes, squares = _box_powers(I, ring)
+    unit = squares.any(axis=1)
+    inv_squares = digit_rows(fld, [
+        ring.inv(Poly(fld, row))
+        for row in coeff_rows(fld, squares[unit]).tolist()], ring.deg)
+    classes = np.unique(_pair_products(batch, cubes, inv_squares),
+                        return_counts=True)
     zeros = len(cubes) - len(inv_squares)   # members b = 0 mod f
-    units = sum(map(bool, cubes))
-    return hist, zeros * units, zeros * (len(cubes) - units)
+    units = int(np.count_nonzero(cubes.any(axis=1)))
+    return classes, zeros * units, zeros * (len(cubes) - units)
 
 
 def count_invariant_pairs(I: Interval, f, method: str = "auto") -> int:
     """Solutions ((a,b),(c,d)) in I^4 of a^3 d^2 = c^3 b^2 mod f.
 
-    'quad' is the literal four-fold product test; 'bucket' classifies each
-    pair by the ratio a^3 / b^2 (unit b), by b = 0 with unit a, or by both
-    zero (`_ratio_classes`), and combines the class sizes.  Both give the
-    same count.
+    'quad' is the literal four-fold product test: it encodes P[a, d] =
+    a^3 d^2 and compares P[a, d] with P[c, b] on every quadruple, with no
+    inverse.  'bucket' classifies each pair by the ratio a^3 / b^2 (unit
+    b), by b = 0 with unit a, or by both zero (`_ratio_classes`), and
+    combines the class sizes.  Both give the same count.
     """
     ring = ResidueRing.of(f)
     if method == "auto":
         method = "quad" if I.size ** 4 <= 2 ** 16 else "bucket"
     if method == "quad":
-        cubes = [ring.pow(a, 3) for a in I]
-        squares = [ring.pow(b, 2) for b in I]
-        pairs = [(a3, b2) for a3 in cubes for b2 in squares]
-        total = 0
-        for a3, b2 in pairs:
-            for c3, d2 in pairs:
-                if ring.mul(a3, d2) == ring.mul(c3, b2):
-                    total += 1
-        return total
+        cubes, squares = _box_powers(I, ring)
+        P = _pair_products(ring.batch(), cubes, squares)
+        step = max(1, _BLOCK // len(P))
+        return sum(int(np.count_nonzero(P[i:i + step, None] == P))
+                   for i in range(0, len(P), step))
     if method != "bucket":
         raise ValueError(f"unknown census method {method!r}")
-    hist, b_zero, both = _ratio_classes(I, ring)
-    u_total = sum(hist.values())
-    return (sum(v * v for v in hist.values())
+    (_, counts), b_zero, both = _ratio_classes(I, ring)
+    counts = counts.tolist()
+    return (sum(v * v for v in counts)
             + (b_zero + both) ** 2
-            + 2 * u_total * both)
+            + 2 * sum(counts) * both)
 
 
 # -- simultaneous approximation --
@@ -362,9 +392,9 @@ def ninth_window_scan(I: Interval, f, force: bool = False) -> NinthWindowReport:
     ring = ResidueRing.of(f)
     if not force and I.size ** 9 > ring.size:
         raise PolyboxError("box too large: need |I|^9 <= |f| (use force)")
-    hist, _, both = _ratio_classes(I, ring)
-    fld = ring.field
-    rows = sorted(((Poly(fld, k), v + both) for k, v in hist.items()),
+    (keys, counts), _, both = _ratio_classes(I, ring)
+    rows = sorted(((ring.from_index(k), v + both)
+                   for k, v in zip(keys.tolist(), counts.tolist())),
                   key=lambda kv: sort_key(kv[0]))
     max_count = max((c for _, c in rows), default=0)
     ratio = (max_count / I.size ** (1.0 / 3.0)) if rows else 0.0

@@ -3,14 +3,18 @@
 Elements are canonical remainders (Poly of degree < deg f).  The ring is a
 field of size |f| = q**deg(f), and an F_p-space of dimension k*deg(f) for
 q = p**k: `digit_rows` writes a residue as its F_p digits, whose base-p
-value is `ResidueRing.index`.  `ResidueBatch` holds every residue as a
-digit matrix and provides whole-field maps (multiplication, polynomial
-evaluation, histograms) for point counts and crt root tables on every
-field.  `int64_dot_bound` states, and checks, the overflow bound of every
+value is `ResidueRing.index`, and `box_digit_rows` writes the members of a
+box the same way without building them.  `ResidueBatch` multiplies and
+encodes digit rows, built from (p, k, f) alone, so box-sized work modulo a
+large f allocates only box-sized arrays; its whole-field matrix `digits`
+(every residue, for point counts and crt root tables) is built on first
+use.  `int64_dot_bound` states, and checks, the overflow bound of every
 int64 digit product in the package.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +45,27 @@ def digit_rows(field, polys, n: int) -> np.ndarray:
     p, k = field.p, field.k
     return (coeffs[:, :, None] // p ** np.arange(k) % p).reshape(
         len(polys), n * k)
+
+
+def box_digit_rows(I, start: int, stop: int, n: int) -> np.ndarray:
+    """digit_rows(I.field, list(I)[start:stop], n), without building a Poly.
+
+    Member i adds to I.base the tail whose T**j coefficient is the base-q
+    digit bound - j of i (c_bound fastest, Interval's order), and F_q
+    addition is digit-wise addition mod p.  Requires 0 <= start.
+    """
+    fld = I.field
+    p, k, q = fld.p, fld.k, fld.q
+    stop = min(stop, I.size)
+    idx = np.arange(start, max(start, stop), dtype=np.int64)
+    tail = np.zeros((len(idx), n), dtype=np.int64)
+    for j in range(min(n, I.bound + 1)):
+        step = q ** (I.bound - j)
+        if step < stop:
+            tail[:, j] = idx // step % q
+    digits = (tail[:, :, None] // p ** np.arange(k) % p).reshape(
+        len(idx), n * k)
+    return (digits + digit_rows(fld, [I.base], n)) % p
 
 
 def coeff_rows(field, digits: np.ndarray) -> np.ndarray:
@@ -76,6 +101,7 @@ class ResidueRing:
         self.field = f.field
         self.deg = len(f.coeffs) - 1
         self.size = self.field.q ** self.deg  # |f|
+        self._batch = None
 
     @classmethod
     def of(cls, f) -> "ResidueRing":
@@ -164,25 +190,32 @@ class ResidueRing:
             r = self.mul(r, b)
         return r
 
-    def batch(self):
-        """Vectorized whole-field view (ResidueBatch)."""
-        return ResidueBatch(self)
+    def batch(self) -> "ResidueBatch":
+        """The ring's digit engine (ResidueBatch), built once per ring."""
+        if self._batch is None:
+            self._batch = ResidueBatch(self)
+        return self._batch
 
     def __repr__(self):
         return f"ResidueRing(f={self.f!r}, size={self.size})"
 
 
 class ResidueBatch:
-    """All residues of a ring as an (N, m*k) F_p digit matrix (digit_rows).
+    """Residues of a ring as (N, m*k) F_p digit rows (digit_rows).
 
-    Row order matches ResidueRing.elements()/index(), and so does the
-    base-p value of each row.  `mul` is F_p-bilinear on digits: a
-    T-convolution of a's digits against b multiplied by each power u**l of
-    the field generator (a k x k matrix per power, none for k = 1), then a
-    reduction of the high T-coefficients.  Digit arrays use int64, and
-    each entry sums digit products: k for b * u**l, m*k for the
-    convolution and (m-1)*k for the reduction.  The largest,
-    m*k*(p-1)**2, is checked before any array is allocated.
+    The arithmetic (`mul`, `encode`, `box_rows`) is built from (p, k, f)
+    alone.  `digits`, every residue as one row in ResidueRing.elements()
+    order (the base-p value of row i is i), is built on first use, so a
+    batch over a large f holds only the arrays it is given.
+
+    `mul` is F_p-bilinear on digits: a T-convolution of a's digits against
+    b multiplied by each power u**l of the field generator (a k x k matrix
+    per power, none for k = 1), then a reduction of the high
+    T-coefficients.  Digit arrays use int64, and each entry sums digit
+    products: k for b * u**l, m*k for the convolution and (m-1)*k for the
+    reduction.  The largest, m*k*(p-1)**2, is checked before any array is
+    allocated.  Indices (`encode`) are int64 below |f| = 2**63 and Python
+    ints from there on, so they are exact at every size.
     """
 
     def __init__(self, ring: ResidueRing):
@@ -191,18 +224,35 @@ class ResidueBatch:
         int64_dot_bound(m * k, p)
         self.ring = ring
         self.p, self.k, self.m, self.n = p, k, m, ring.size
-        self._powers = p ** np.arange(m * k, dtype=np.int64)
-        self.digits = np.arange(self.n, dtype=np.int64)[:, None] \
-            // self._powers % p
+        self._powers = p ** np.arange(m * k, dtype=np.int64) \
+            if self.n <= 1 << 63 else np.array([p ** i for i in range(m * k)],
+                                               dtype=object)
         # rows: u**l * T**j mod f for j = m .. 2m-2 (product overflow)
         self.reduction = mul_matrix(Poly(fld, (0,) * m + (1,)), m - 1, ring.f)
         # u**l on one T-coefficient's k digits (mod T): a k x k matrix
         self.u_powers = [mul_matrix(Poly(fld, (p ** l,)), 1, Poly(fld, (0, 1)))
                          for l in range(1, k)]
+        self._box_reduction = {}    # width n -> mul_matrix(one, n, f)
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """Every residue as one digit row, (|f|, m*k), in index order."""
+        return np.arange(self.n, dtype=np.int64)[:, None] \
+            // self._powers % self.p
 
     def encode(self, digits: np.ndarray) -> np.ndarray:
         """(N, m*k) digit rows -> residue indices."""
         return digits @ self._powers
+
+    def box_rows(self, I) -> np.ndarray:
+        """The members of box I mod f as digit rows (|I|, m*k), in order."""
+        n = I.max_degree() + 1
+        red = self._box_reduction.get(n)
+        if red is None:
+            int64_dot_bound(n * self.k, self.p)
+            red = self._box_reduction[n] = mul_matrix(
+                one(self.ring.field), n, self.ring.f)
+        return box_digit_rows(I, 0, I.size, n) @ red % self.p
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise product of residue digit matrices, reduced mod f."""

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -176,6 +177,109 @@ def test_nlambda_sum_identity_exhaustive():
 def _all_irreducible_upto(F, max_deg):
     from polybox import monic_irreducibles
     return list(monic_irreducibles(F, max_deg))
+
+
+# -- digit census kernels against the Poly reference loops --
+
+def _nlambda_reference(I, lam, f):
+    """count_nlambda as a per-member Poly loop."""
+    ring = ResidueRing.of(f)
+    hist: dict = {}
+    for a in I:
+        key = ring.pow(a, 3).coeffs
+        hist[key] = hist.get(key, 0) + 1
+    lam = lam % ring.f
+    total = 0
+    for b in I:
+        target = ring.mul(lam, ring.mul(b % ring.f, b % ring.f))
+        total += hist.get(target.coeffs, 0)
+    return total
+
+
+def _quad_reference(I, ring):
+    """count_invariant_pairs(method="quad") as a per-quadruple Poly loop."""
+    cubes = [ring.pow(a, 3) for a in I]
+    squares = [ring.pow(b, 2) for b in I]
+    pairs = [(a3, b2) for a3 in cubes for b2 in squares]
+    total = 0
+    for a3, b2 in pairs:
+        for c3, d2 in pairs:
+            if ring.mul(a3, d2) == ring.mul(c3, b2):
+                total += 1
+    return total
+
+
+def _ratio_classes_reference(I, ring):
+    """_ratio_classes with a Counter keyed by coefficient tuples."""
+    cubes = [ring.pow(a, 3) for a in I]
+    inv_squares = [ring.inv(ring.mul(b, b)) for b in I if b % ring.f]
+    hist = Counter(ring.mul(a3, s).coeffs
+                   for a3 in cubes for s in inv_squares)
+    zeros = len(cubes) - len(inv_squares)   # members b = 0 mod f
+    units = sum(map(bool, cubes))
+    return hist, zeros * units, zeros * (len(cubes) - units)
+
+
+def _assert_ratio_classes_match(I, ring):
+    (keys, counts), b_zero, both = _ratio_classes(I, ring)
+    hist = {ring.from_index(k).coeffs: v
+            for k, v in zip(keys.tolist(), counts.tolist())}
+    assert (hist, b_zero, both) == _ratio_classes_reference(I, ring)
+
+
+def test_census_kernels_match_reference(F2, F3, F4, F9):
+    # shifted boxes whose base degree exceeds deg f, lambda = 0, a lambda
+    # of degree >= deg f, and the degree-1 b = 0 boxes
+    rng = random.Random(31)
+    cases = []
+    for F, fdeg, n in ((F2, 3, 2), (F3, 2, 1), (F4, 2, 1), (F9, 2, 0)):
+        f = random_irreducible(F, fdeg, 5)
+        cases.append((zero_interval(F, n), f))
+        cases.append((Interval(random_poly(F, fdeg + 2, rng), n), f))
+    cases += _b_zero_boxes((F2, F3, F4, F9))
+    for I, f in cases:
+        ring = ResidueRing(f)
+        F = ring.field
+        m = ring.deg
+        lams = [zero(F), one(F), random_poly(F, m - 1, rng),
+                random_poly(F, m + 1, rng)]
+        for lam in lams:
+            assert count_nlambda(I, lam, ring) == _nlambda_reference(I, lam,
+                                                                     ring)
+        quad = count_invariant_pairs(I, ring, method="quad")
+        if I.size <= 16:    # the reference makes 2 |I|^4 products
+            assert quad == _quad_reference(I, ring)
+        assert count_invariant_pairs(I, ring, method="bucket") == quad
+        _assert_ratio_classes_match(I, ring)
+
+
+def test_census_kernels_match_reference_wide_ring(F2, F9):
+    # |f| = 2**64 and 9**20 exceed int64, so residue indices are Python ints
+    rng = random.Random(37)
+    for F, fdeg, n in ((F2, 64, 1), (F9, 20, 0)):
+        ring = ResidueRing(random_irreducible(F, fdeg, 0), check=False)
+        I = Interval(random_poly(F, 3, rng), n)
+        lam = random_poly(F, fdeg - 1, rng)
+        assert count_nlambda(I, lam, ring) == _nlambda_reference(I, lam, ring)
+        assert count_nlambda(I, one(F), ring) \
+            == _nlambda_reference(I, one(F), ring)
+        assert count_invariant_pairs(I, ring, method="quad") \
+            == _quad_reference(I, ring)
+        _assert_ratio_classes_match(I, ring)
+
+
+def test_censuses_never_build_the_whole_field(F2):
+    # criterion 10's largest modulus: 2**27 x 27 int64 digits would not fit
+    f = random_irreducible(F2, 27, 3)
+    ring = ResidueRing(f)
+    I = zero_interval(F2, 2)
+    for lam in (one(F2), T_of(F2), zero(F2)):
+        assert count_nlambda(I, lam, ring) == _nlambda_reference(I, lam, ring)
+    rep = ninth_window_scan(I, ring)
+    hist, _, both = _ratio_classes_reference(I, ring)
+    assert {lam.coeffs: c for lam, c in rep.rows} \
+        == {key: v + both for key, v in hist.items()}
+    assert "digits" not in ring.batch().__dict__
 
 
 # -- pigeonhole --

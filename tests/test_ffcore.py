@@ -14,7 +14,7 @@ from polybox import (GF, Interval, NEG_INF, Poly, constant, frac_dist,
                      zero_interval)
 from polybox.ffield import FiniteField
 from polybox.poly import horner, powmod, random_poly, T as T_of
-from polybox.residues import ResidueRing, digit_rows
+from polybox.residues import ResidueRing, box_digit_rows, digit_rows
 
 
 def _schoolbook(a, b):
@@ -477,6 +477,24 @@ def test_residue_batch_matches_ring():
         want = [horner(coeffs, elems[i], ring.f) for i in xs]
         got = batch.eval_univariate(coeffs, batch.digits[xs])
         assert (got == digit_rows(F, want, deg)).all()
+
+
+def test_box_digit_rows_match_members(F2, F3, F4, F9):
+    # shifted boxes, whole and partial ranges, widths below, at and above
+    # the members' width
+    rng = random.Random(12)
+    for F in (F2, F3, F4, F9):
+        for bound, base_deg in ((0, 3), (1, 0), (2, 4), (3, 1)):
+            I = Interval(random_poly(F, base_deg, rng), bound)
+            members = list(I)
+            width = I.max_degree() + 1
+            for n in (1, width, width + 2):
+                for start, stop in ((0, I.size), (1, I.size - 1),
+                                    (I.size // 3, I.size // 2 + 1),
+                                    (2, I.size + 5), (I.size, I.size)):
+                    got = box_digit_rows(I, start, stop, n)
+                    assert got.shape == (len(members[start:stop]), n * F.k)
+                    assert (got == digit_rows(F, members[start:stop], n)).all()
 
 
 def test_residue_inverse_roundtrip(F3):
