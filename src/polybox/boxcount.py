@@ -27,7 +27,7 @@ from itertools import islice, product
 import numpy as np
 
 from .intervals import Interval, zero_interval
-from .curves import BivarPoly
+from .curves import BivarPoly, root_sets
 from .poly import (Poly, horner, monic_irreducibles_of_degree, one, sort_key,
                    zero)
 from .residues import (ResidueRing, coeff_rows, digit_rows, int64_dot_bound,
@@ -141,10 +141,11 @@ def _monic_irreducibles_of_degree(fld, deg):
 class CrtRootSolver:
     """Root tables of F modulo auxiliary irreducibles, with CRT lifting.
 
-    Each table is also held as int64 arrays (`lifts`), and `box_candidates`
-    sieves and lifts a whole list of x at once.  F_q[T]/(u) is an F_p-space
-    of k*deg u digits (`digit_rows`), and the lift is F_p-linear on them,
-    y = sum_u roots_u @ L_u mod p.
+    The tables are int64 arrays (`lifts`), one (counts, roots, L) per
+    modulus u.  `box_candidates` sieves and lifts a whole list of x at
+    once; `candidates` lifts one x and is the per-x reference.  F_q[T]/(u)
+    is an F_p-space of k*deg u digits (`digit_rows`), and the lift is
+    F_p-linear on them, y = sum_u roots_u @ L_u mod p.
     """
 
     def __init__(self, F: BivarPoly, value_degree_bound: int,
@@ -184,7 +185,6 @@ class CrtRootSolver:
             moduli.append(chosen)
             total += chosen.deg
         self.rings = moduli
-        self.tables, root_arrays = zip(*map(self._root_table, moduli))
         M = one(fld)
         for r in moduli:
             M = M * r.f
@@ -197,44 +197,36 @@ class CrtRootSolver:
         int64_dot_bound(fld.k * M.degree, fld.p)
         # per modulus u: (counts, roots, L), L = mul_matrix(e_u, deg u, M),
         # so the digit rows r of a root lift as r @ L
-        self.lifts = [arrays + (mul_matrix(e, r.deg, M),) for r, e, arrays
-                      in zip(moduli, self.basis, root_arrays)]
+        self.lifts = [self._root_table(r) + (mul_matrix(e, r.deg, M),)
+                      for r, e in zip(moduli, self.basis)]
 
     def _root_table(self, ring: ResidueRing):
-        """The roots y of F(x, y) mod u for each residue x: a dict from
-        x.coeffs to the roots, and int64 arrays (counts, roots) in which the
-        x of index i has the digit rows roots[i, :counts[i]]."""
-        rows = self.F.reduce_mod(ring).y_coefficients()
-        residues = list(ring.elements())
-        batch = ring.batch()
-        found = []
-        for x in residues:
-            vals = batch.eval_univariate(
-                [horner(row, x, ring.f) for row in rows], batch.digits)
-            found.append(np.flatnonzero(~vals.any(axis=1)))
+        """The roots y of F(x, y) mod u as int64 arrays (counts, roots): the
+        residue x of index i has the digit rows roots[i, :counts[i]]."""
+        found = list(root_sets(self.F.reduce_mod(ring), ring))
         counts = np.array([len(i) for i in found], dtype=np.int64)
         index = np.zeros((ring.size, max(1, counts.max())), dtype=np.int64)
         for row, i in zip(index, found):
             row[:len(i)] = i
-        table = {x.coeffs: tuple(residues[j] for j in i)
-                 for x, i in zip(residues, found) if len(i)}
-        return table, (counts, batch.digits[index])
+        return counts, ring.batch().digits[index]
 
     def candidates(self, x: Poly):
-        """Candidate y values for this x, or None when capped."""
+        """Candidate y values for this x, read from the root arrays: () when
+        some modulus has no root, None when the combinations exceed
+        combo_cap."""
+        fld = self.F.field
         root_lists = []
-        size = 1
-        for ring, table in zip(self.rings, self.tables):
-            roots = table.get((x % ring.f).coeffs)
-            if not roots:
-                return ()
-            root_lists.append(roots)
-            size *= len(roots)
-            if size > self.combo_cap:
-                return None
+        for ring, (counts, roots, _) in zip(self.rings, self.lifts):
+            i = ring.index(x % ring.f)
+            root_lists.append([Poly(fld, y) for y in coeff_rows(
+                fld, roots[i, :counts[i]]).tolist()])
+        if not all(root_lists):
+            return ()
+        if math.prod(map(len, root_lists)) > self.combo_cap:
+            return None
         out = []
         for combo in product(*root_lists):
-            y = zero(self.F.field)
+            y = zero(fld)
             for r, e in zip(combo, self.basis):
                 y = y + r * e
             out.append(y % self.M)
@@ -242,7 +234,8 @@ class CrtRootSolver:
 
     def box_candidates(self, xs, box_y: Interval):
         """(x, ys) for the x of xs, in order, with CRT candidates in box_y,
-        or (x, None) where candidates() would cap.
+        or (x, None) where candidates() caps; x with no candidate in box_y
+        are left out.
 
         Per chunk of x: one digit-matrix product per modulus u gives
         x mod u, the root arrays drop x without roots, multi-root x expand

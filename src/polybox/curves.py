@@ -2,8 +2,8 @@
 
 A BivarPoly maps exponent pairs (i, j) to nonzero Poly coefficients.
 Operations: exact evaluation, degree statistics, reduction and exhaustive
-point counting modulo an irreducible f (with a vectorized path for large
-residue fields), point-count windows around |f|, and invertible linear
+point counting modulo an irreducible f (on the residue ring's digit
+engine), point-count windows around |f|, and invertible linear
 changes of variables including the search for a transform that realizes
 the full total degree in X.
 """
@@ -11,7 +11,6 @@ the full total degree in X.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,8 +18,6 @@ import numpy as np
 
 from .poly import NEG_INF, Poly, constant, horner, one, zero
 from .residues import ResidueRing
-
-_VECTOR_THRESHOLD = 400  # residue-field size where numpy paths take over
 
 
 class BivarPoly:
@@ -186,8 +183,9 @@ def count_points_mod(F: BivarPoly, f, method: str = "auto") -> int:
     """|{(x, y) in (F_q[T]/f)^2 : F(x, y) = 0 mod f}| by exhaustion.
 
     method: 'auto' picks a histogram path for additively separable F and
-    a per-x scan otherwise; 'exhaustive' forces the scan; 'separable'
-    forces the histogram (error if F mixes X and Y).  Both paths agree.
+    a per-x root scan (root_sets) otherwise; 'exhaustive' forces the scan;
+    'separable' forces the histogram (error if F mixes X and Y).  Both
+    paths run on the ring's digit engine at every ring size and agree.
     """
     ring = ResidueRing.of(f)
     Fr = F.reduce_mod(ring)
@@ -222,28 +220,28 @@ def _split_separable(Fr: BivarPoly):
 
 def _count_separable(Fr: BivarPoly, ring: ResidueRing) -> int:
     A, B = _split_separable(Fr)
-    if ring.size >= _VECTOR_THRESHOLD:
-        batch = ring.batch()
-        xs = batch.digits
-        a_vals = batch.eval_univariate(A, xs)
-        b_vals = batch.eval_univariate(B, xs)
-        hist = batch.histogram((-a_vals) % ring.field.p)
-        return int(hist[batch.encode(b_vals)].sum())
-    hist = Counter((-horner(A, x, ring.f)).coeffs for x in ring.elements())
-    return sum(hist[horner(B, y, ring.f).coeffs] for y in ring.elements())
+    batch = ring.batch()
+    a_vals = batch.eval_univariate(A, batch.digits)
+    b_vals = batch.eval_univariate(B, batch.digits)
+    hist = batch.histogram((-a_vals) % ring.field.p)
+    return int(hist[batch.encode(b_vals)].sum())
+
+
+def root_sets(Fr: BivarPoly, ring: ResidueRing):
+    """Per residue x, in index order: the int64 indices of the y with
+    Fr(x, y) = 0 mod f.  The one per-x root finder of point counts and crt
+    root tables."""
+    rows = Fr.y_coefficients()
+    batch = ring.batch()
+    for x in ring.elements():
+        vals = batch.eval_univariate(
+            [horner(row, x, ring.f) for row in rows], batch.digits)
+        yield np.flatnonzero(~vals.any(axis=1))
 
 
 def _count_exhaustive(Fr: BivarPoly, ring: ResidueRing) -> int:
     """Pairs (x, y) of residues with Fr(x, y) = 0 mod f: per x, roots in y."""
-    rows = Fr.y_coefficients()
-    specs = ([horner(row, x, ring.f) for row in rows] for x in ring.elements())
-    if ring.size >= _VECTOR_THRESHOLD:
-        batch = ring.batch()
-        return sum(int(np.count_nonzero(
-            ~batch.eval_univariate(cs, batch.digits).any(axis=1)))
-            for cs in specs)
-    ys = list(ring.elements())
-    return sum(not horner(cs, y, ring.f) for cs in specs for y in ys)
+    return sum(len(ys) for ys in root_sets(Fr, ring))
 
 
 def count_points_by_rows(F: BivarPoly, f) -> int:

@@ -11,6 +11,7 @@ from polybox import (GF, BivarPoly, Interval, Poly, bivar,
 from polybox import boxcount
 from polybox.boxcount import CrtRootSolver, _crt_points
 from polybox.poly import T as T_of, random_poly
+from polybox.residues import coeff_rows
 
 
 def _parabola(field):
@@ -142,17 +143,20 @@ def test_crt_solver_norm_product_exceeds_window(F2):
 
 
 def test_root_tables_match_python_roots(F2, F3, F5, F4, F9):
-    # numpy root tables against the definition: y is a root at x mod u
-    # when u divides F(x, y); Y-degree up to 3 gives residues with several
-    # roots
+    # the int64 root arrays against the definition: y is a root at x mod
+    # u when u divides F(x, y); Y-degree up to 3 gives residues with
+    # several roots
     rng = random.Random(55)
     multi = 0
     for F, bound in ((F2, 2), (F3, 1), (F5, 1), (F4, 2), (F9, 1)):
         for _ in range(4):
             C = _rand_bivar(F, 3, 1, rng)
             solver = CrtRootSolver(C, bound)
-            for ring, table in zip(solver.rings, solver.tables):
+            for ring, (counts, roots, _) in zip(solver.rings, solver.lifts):
                 res = list(ring.elements())
+                table = {x.coeffs: tuple(Poly(F, y) for y in
+                                         coeff_rows(F, r[:n]).tolist())
+                         for x, n, r in zip(res, counts, roots) if n}
                 want = {}
                 for x in res:
                     roots = tuple(y for y in res
@@ -165,15 +169,21 @@ def test_root_tables_match_python_roots(F2, F3, F5, F4, F9):
 
 
 def _per_x_points(C, box_x, box_y, solver):
-    """The reference crt loop: candidates() one x at a time."""
-    out, capped, expanded = [], 0, 0
+    """The reference crt loop: candidates() one x at a time.  Also the
+    per-x map box_candidates() must give: None where capped, else the
+    candidates in box_y, and no entry for x without any."""
+    out, capped, expanded, per_x = [], 0, 0, {}
     for x in box_x:
         cands = solver.candidates(x)
         capped += cands is None
         expanded += cands is not None and len(cands) > 1
-        ys = box_y if cands is None else filter(box_y.contains, cands)
+        inside = None if cands is None else list(filter(box_y.contains,
+                                                        cands))
+        if inside != []:
+            per_x[x] = inside
+        ys = box_y if inside is None else inside
         out.extend((x, y) for y in ys if not C.evaluate(x, y))
-    return out, capped, expanded
+    return out, capped, expanded, per_x
 
 
 def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9,
@@ -182,7 +192,8 @@ def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9,
     # Y^2 = X^3 + aX + b in odd characteristic has two roots modulo many
     # moduli, and combo_cap 2 sends those x to the fallback, on prime and
     # on extension fields; at 5 rows per pass the same corpus also takes
-    # several x passes and splits the lift rows
+    # several x passes and splits the lift rows; per x, box_candidates()
+    # falls back exactly where candidates() does
     for rows_per_pass in (boxcount._ROWS_PER_PASS, 5):
         monkeypatch.setattr(boxcount, "_ROWS_PER_PASS", rows_per_pass)
         rng = random.Random(66)
@@ -200,7 +211,9 @@ def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9,
                     bound = max(box_x.max_degree(), box_y.max_degree())
                     solver = CrtRootSolver(C, bound, combo_cap=cap)
                     got = _crt_points(C, box_x, box_y, solver)
-                    ref, c, e = _per_x_points(C, box_x, box_y, solver)
+                    ref, c, e, per_x = _per_x_points(C, box_x, box_y,
+                                                     solver)
+                    assert dict(solver.box_candidates(box_x, box_y)) == per_x
                     capped[F.k > 1] = capped.get(F.k > 1, 0) + c
                     expanded[F.k > 1] = expanded.get(F.k > 1, 0) + e
                     assert sorted(got, key=str) == sorted(ref, key=str)

@@ -1,18 +1,22 @@
 """Bivariate polynomials: evaluation, counting mod f, transforms."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polybox import (GF, BivarPoly, Poly, ResidueRing, TransformMatrix,
                      apply_transform, bivar, count_points_mod, curve_text,
                      degree_stats, find_full_degree_transform,
                      is_smooth_weierstrass, one, parse_curve,
                      random_irreducible, weil_window_check, zero)
-from polybox.curves import (count_points_by_rows, top_form_value,
+from polybox.curves import (_split_separable, count_points_by_rows,
+                            is_separable_sum, top_form_value,
                             weierstrass_parts)
-from polybox.poly import T as T_of, random_poly
+from polybox.poly import T as T_of, horner, random_poly
 
 
 def _rand_bivar(field, max_exp, max_tdeg, rng, nonzero=True):
@@ -66,6 +70,22 @@ def test_degree_stats_examples(F5):
 
 # -- counting mod f --
 
+# The pure-Python count loops, kept as references for the digit engine:
+# a histogram of -A(x) read at every B(y), and every pair (x, y).
+
+def _count_separable_reference(Fr, ring):
+    A, B = _split_separable(Fr)
+    hist = Counter((-horner(A, x, ring.f)).coeffs for x in ring.elements())
+    return sum(hist[horner(B, y, ring.f).coeffs] for y in ring.elements())
+
+
+def _count_exhaustive_reference(Fr, ring):
+    rows = Fr.y_coefficients()
+    specs = ([horner(row, x, ring.f) for row in rows] for x in ring.elements())
+    ys = list(ring.elements())
+    return sum(not horner(cs, y, ring.f) for cs in specs for y in ys)
+
+
 def test_count_points_examples(F2):
     wcurve = bivar(F2, {(0, 2): 1, (3, 0): 1, (1, 0): 1})  # Y^2 - X^3 - X
     assert count_points_mod(wcurve, T_of(F2)) == 2
@@ -97,29 +117,61 @@ def test_count_methods_agree(F2, F3, F4, F9):
             assert len(counts) == 1
 
 
-def test_count_vector_path_matches_scalar(F3, F4, monkeypatch):
-    # the numpy path runs from 400 residues (3^6 = 729, 4^5 = 1024);
-    # compare it against pure python
-    import polybox.curves as curves_mod
-    batches = []
-    batch = ResidueRing.batch
-
-    def counted_batch(ring):
-        batches.append(ring)
-        return batch(ring)
-    monkeypatch.setattr(ResidueRing, "batch", counted_batch)
+def test_count_vector_path_matches_scalar(F2, F3, F4, F9):
+    # the digit engine counts at every ring size; the pure loops are the
+    # references: Weierstrass curves on GF(3)^6 and GF(4)^5 (729 and 1024
+    # residues) against the separable one, and rings of 2 to 81 residues
+    # against both (the exhaustive one takes over a second at 243)
     for F, deg_f in ((F3, 6), (F4, 5)):
-        f = random_irreducible(F, deg_f, 1)
+        ring = ResidueRing(random_irreducible(F, deg_f, 1), check=False)
         wcurve = bivar(F, {(0, 2): 1, (3, 0): -1 % F.p, (0, 0): -1 % F.p})
-        batches.clear()
-        fast = count_points_mod(wcurve, f)
-        assert batches, f"no vector path over GF({F.q})"
-        with monkeypatch.context() as m:
-            m.setattr(curves_mod, "_VECTOR_THRESHOLD", 10 ** 9)
-            batches.clear()
-            slow = count_points_mod(wcurve, f)
-            assert not batches
-        assert fast == slow
+        assert count_points_mod(wcurve, ring) == \
+            _count_separable_reference(wcurve.reduce_mod(ring), ring)
+    rng = random.Random(17)
+    for F, deg_f in ((F2, 1), (F2, 2), (F4, 1), (F3, 2), (F9, 1), (F4, 3),
+                     (F3, 4), (F9, 2)):
+        ring = ResidueRing(random_irreducible(F, deg_f, 2), check=False)
+        t = T_of(F)
+        curves = [
+            bivar(F, {(0, 2): 1, (3, 0): -1 % F.p, (1, 0): 1, (0, 0): t}),
+            bivar(F, {(0, 2): 1, (1, 1): 1, (3, 0): -1 % F.p, (0, 0): 1}),
+            _rand_bivar(F, 3, 1, rng)]
+        for C in curves:
+            Fr = C.reduce_mod(ring)
+            if not Fr:
+                continue
+            want = _count_exhaustive_reference(Fr, ring)
+            assert count_points_mod(C, ring) == want
+            assert count_points_mod(C, ring, method="exhaustive") == want
+            assert count_points_by_rows(C, ring) == want
+            if is_separable_sum(Fr):
+                assert _count_separable_reference(Fr, ring) == want
+                assert count_points_mod(C, ring, method="separable") == want
+
+
+@given(st.sampled_from([2, 3, 4, 5, 9]), st.data())
+@settings(max_examples=20, deadline=None)
+def test_count_paths_agree_property(q, data):
+    # curves of X-degree <= 3 and Y-degree <= 2, coefficients of T-degree
+    # <= 1, modulo f of degree 1 or 2: every count path and the references
+    F = GF(q)
+    ring = ResidueRing(random_irreducible(F, data.draw(st.integers(1, 2)),
+                                          data.draw(st.integers(0, 5))),
+                       check=False)
+    separable = data.draw(st.booleans())
+    coeffs = st.lists(st.integers(0, q - 1), max_size=2)
+    C = BivarPoly(F, {(i, j): Poly(F, data.draw(coeffs))
+                      for i in range(4) for j in range(3)
+                      if not (separable and i and j)})
+    Fr = C.reduce_mod(ring)
+    assume(Fr)
+    want = _count_exhaustive_reference(Fr, ring)
+    assert count_points_mod(C, ring) == want
+    assert count_points_mod(C, ring, method="exhaustive") == want
+    assert count_points_by_rows(C, ring) == want
+    if is_separable_sum(Fr):
+        assert count_points_mod(C, ring, method="separable") == want
+        assert _count_separable_reference(Fr, ring) == want
 
 
 def test_count_invariant_under_transform(F3):
