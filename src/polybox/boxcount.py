@@ -33,7 +33,7 @@ from .poly import (Poly, horner, monic_irreducibles_of_degree, one, sort_key,
 from .residues import (ResidueRing, coeff_rows, digit_rows, int64_dot_bound,
                        mul_matrix)
 
-_NAIVE_LIMIT = 1 << 12   # pair count up to which the double loop is fine
+_NAIVE_LIMIT = 1 << 8    # pair count up to which the double loop wins (README)
 _COMBO_CAP = 4096        # CRT candidate combinations per x before fallback
 _MODULUS_SIZE_CAP = 128  # preferred residue-plane size for root tables
 _ROWS_PER_PASS = 1 << 16  # x per sieve pass and lift rows per part
@@ -142,8 +142,10 @@ class CrtRootSolver:
     """Root tables of F modulo auxiliary irreducibles, with CRT lifting.
 
     The tables are int64 arrays (`lifts`), one (counts, roots, L) per
-    modulus u.  `box_candidates` sieves and lifts a whole list of x at
-    once; `candidates` lifts one x and is the per-x reference.  F_q[T]/(u)
+    modulus u, each from one `root_sets` call: blocked digit products
+    over the whole plane mod u, with no loop over residues.
+    `box_candidates` sieves and lifts a whole list of x at once;
+    `candidates` lifts one x and is the per-x reference.  F_q[T]/(u)
     is an F_p-space of k*deg u digits (`digit_rows`), and the lift is
     F_p-linear on them, y = sum_u roots_u @ L_u mod p.
     """
@@ -202,12 +204,13 @@ class CrtRootSolver:
 
     def _root_table(self, ring: ResidueRing):
         """The roots y of F(x, y) mod u as int64 arrays (counts, roots): the
-        residue x of index i has the digit rows roots[i, :counts[i]]."""
-        found = list(root_sets(self.F.reduce_mod(ring), ring))
-        counts = np.array([len(i) for i in found], dtype=np.int64)
+        residue x of index i has the digit rows roots[i, :counts[i]].  The
+        x-major zeros of root_sets are scattered in place, with no loop
+        over residues."""
+        xs, ys = root_sets(self.F.reduce_mod(ring), ring)
+        counts = np.bincount(xs, minlength=ring.size)
         index = np.zeros((ring.size, max(1, counts.max())), dtype=np.int64)
-        for row, i in zip(index, found):
-            row[:len(i)] = i
+        index[xs, np.arange(len(xs)) - (np.cumsum(counts) - counts)[xs]] = ys
         return counts, ring.batch().digits[index]
 
     def candidates(self, x: Poly):

@@ -3,9 +3,11 @@
 A BivarPoly maps exponent pairs (i, j) to nonzero Poly coefficients.
 Operations: exact evaluation, degree statistics, reduction and exhaustive
 point counting modulo an irreducible f (on the residue ring's digit
-engine), point-count windows around |f|, and invertible linear
-changes of variables including the search for a transform that realizes
-the full total degree in X.
+engine: a histogram for A(X) + B(Y), else `root_sets`, every zero of the
+ring plane from blocked int64 products with no loop over residues),
+point-count windows around |f|, and invertible linear changes of
+variables including the search for a transform that realizes the full
+total degree in X.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def count_points_mod(F: BivarPoly, f, method: str = "auto") -> int:
     """|{(x, y) in (F_q[T]/f)^2 : F(x, y) = 0 mod f}| by exhaustion.
 
     method: 'auto' picks a histogram path for additively separable F and
-    a per-x root scan (root_sets) otherwise; 'exhaustive' forces the scan;
+    the whole-ring zeros of root_sets otherwise; 'exhaustive' forces them;
     'separable' forces the histogram (error if F mixes X and Y).  Both
     paths run on the ring's digit engine at every ring size and agree.
     """
@@ -228,20 +230,35 @@ def _count_separable(Fr: BivarPoly, ring: ResidueRing) -> int:
 
 
 def root_sets(Fr: BivarPoly, ring: ResidueRing):
-    """Per residue x, in index order: the int64 indices of the y with
-    Fr(x, y) = 0 mod f.  The one per-x root finder of point counts and crt
-    root tables."""
-    rows = Fr.y_coefficients()
+    """The zeros of Fr mod f as int64 residue indices (xs, ys), x major:
+    the one root finder of point counts and crt root tables.
+
+    With A_j(x) the value of Y-row j at x (one eval_univariate per power
+    of Y over the whole ring), Fr(x, y) = sum_j A_j(x) * y**j is one
+    pair_products dot product per block of x, and its all-zero digit rows
+    are the zeros.
+    """
     batch = ring.batch()
-    for x in ring.elements():
-        vals = batch.eval_univariate(
-            [horner(row, x, ring.f) for row in rows], batch.digits)
-        yield np.flatnonzero(~vals.any(axis=1))
+    digits = batch.digits
+    y_pow = np.broadcast_to(batch.poly_rows(one(ring.field)), digits.shape)
+    a_vals, y_pows = [], []
+    for j, row in enumerate(Fr.y_coefficients()):
+        if j:
+            y_pow = digits if j == 1 else batch.mul(y_pow, digits)
+        if row:
+            a_vals.append(batch.eval_univariate(row, digits))
+            y_pows.append(y_pow)
+    xs, ys = [], []
+    for start, P in batch.pair_products(np.hstack(a_vals), np.hstack(y_pows)):
+        x, y = np.nonzero(~P.any(axis=2))
+        xs.append(x + start)
+        ys.append(y)
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def _count_exhaustive(Fr: BivarPoly, ring: ResidueRing) -> int:
-    """Pairs (x, y) of residues with Fr(x, y) = 0 mod f: per x, roots in y."""
-    return sum(len(ys) for ys in root_sets(Fr, ring))
+    """Pairs (x, y) of residues with Fr(x, y) = 0 mod f (root_sets)."""
+    return len(root_sets(Fr, ring)[0])
 
 
 def count_points_by_rows(F: BivarPoly, f) -> int:

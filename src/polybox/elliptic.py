@@ -23,11 +23,7 @@ from .errors import PolyboxError
 from .intervals import Interval
 from .linalg import gf_kernel_vector
 from .poly import Poly, constant, frac_dist, one, sort_key
-from .residues import ResidueRing, coeff_rows, digit_rows
-
-# entries per transient census array: product rows times their width,
-# or compared pairs
-_BLOCK = 1 << 16
+from .residues import _BLOCK, ResidueRing, coeff_rows, digit_rows
 
 
 @dataclass(frozen=True)

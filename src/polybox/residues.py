@@ -9,7 +9,8 @@ encodes digit rows, built from (p, k, f) alone, so box-sized work modulo a
 large f allocates only box-sized arrays; its whole-field matrix `digits`
 (every residue, for point counts and crt root tables) is built on first
 use.  `int64_dot_bound` states, and checks, the overflow bound of every
-int64 digit product in the package.
+int64 digit product in the package, and `_BLOCK` bounds the entries of
+every transient block of products.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .poly import Poly, is_irreducible, one, poly_xgcd, powmod, zero
+
+# entries per transient block array: block rows times their width (product
+# digits), or compared pairs in the quad census
+_BLOCK = 1 << 14
 
 
 def int64_dot_bound(terms: int, p: int) -> int:
@@ -266,6 +271,38 @@ class ResidueBatch:
                 conv[:, i * k: (i + m) * k] += a[:, i * k + l, None] * bl
         conv %= p
         return (conv[:, :m * k] + conv[:, m * k:] @ self.reduction) % p
+
+    @cached_property
+    def _structure(self) -> np.ndarray:
+        """(m*k, m*k*m*k): row a holds the digits of e_a * e_b for every
+        basis digit b, b major, so x @ _structure is x's multiplication
+        matrix, flat."""
+        eye = np.eye(self.m * self.k, dtype=np.int64)
+        return self.mul(np.repeat(eye, len(eye), axis=0),
+                        np.tile(eye, (len(eye), 1))).reshape(len(eye), -1)
+
+    def pair_products(self, xs: np.ndarray, ys: np.ndarray):
+        """Every product x * y, in blocks of x: yields (start, P) with P[i, j]
+        the digit row of xs[start + i] * ys[j], P of shape (b, len(ys), m*k).
+
+        A row may also hold J residues side by side, (N, J*m*k); the product
+        is then the sum of the J products x_j * y_j.  Each block takes the
+        multiplication matrices of its x (xs @ _structure) and one product
+        ys @ them; both hold at most _BLOCK entries unless the block is a
+        single x.
+        """
+        mk, p = self.m * self.k, self.p
+        # ys @ right sums xs.shape[1] >= m*k digit products, each of the
+        # reduced multiplication matrices block @ _structure m*k
+        int64_dot_bound(xs.shape[1], p)
+        step = max(1, _BLOCK // (mk * max(len(ys), xs.shape[1])))
+        for start in range(0, len(xs), step):
+            block = xs[start:start + step]
+            b = len(block)
+            right = (block.reshape(-1, mk) @ self._structure % p).reshape(
+                b, -1, mk, mk).transpose(1, 2, 0, 3).reshape(-1, b * mk)
+            yield start, (ys @ right % p).reshape(
+                len(ys), b, mk).transpose(1, 0, 2)
 
     def poly_rows(self, g: Poly) -> np.ndarray:
         """Constant residue g as one digit row (1, m*k)."""

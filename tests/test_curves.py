@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,10 @@ from polybox import (GF, BivarPoly, Poly, ResidueRing, TransformMatrix,
                      is_smooth_weierstrass, one, parse_curve,
                      random_irreducible, weil_window_check, zero)
 from polybox.curves import (_split_separable, count_points_by_rows,
-                            is_separable_sum, top_form_value,
+                            is_separable_sum, root_sets, top_form_value,
                             weierstrass_parts)
 from polybox.poly import T as T_of, horner, random_poly
+from polybox.residues import ResidueBatch
 
 
 def _rand_bivar(field, max_exp, max_tdeg, rng, nonzero=True):
@@ -84,6 +86,51 @@ def _count_exhaustive_reference(Fr, ring):
     specs = ([horner(row, x, ring.f) for row in rows] for x in ring.elements())
     ys = list(ring.elements())
     return sum(not horner(cs, y, ring.f) for cs in specs for y in ys)
+
+
+def _root_sets_reference(Fr, ring):
+    """Per residue x, in index order: the int64 indices of the y with
+    Fr(x, y) = 0 mod f.  The one per-x root finder of point counts and crt
+    root tables."""
+    rows = Fr.y_coefficients()
+    batch = ring.batch()
+    for x in ring.elements():
+        vals = batch.eval_univariate(
+            [horner(row, x, ring.f) for row in rows], batch.digits)
+        yield np.flatnonzero(~vals.any(axis=1))
+
+
+def test_root_sets_match_per_x_reference(F2, F3, F4, F9, monkeypatch):
+    # x by x against the per-x loop: a Weierstrass cubic (Y-row 1 empty),
+    # X*Y + X (every y is a root at x = 0), X + 1 (no Y term) and a mixed
+    # curve on a ring of several pair_products blocks
+    blocks = []
+    real = ResidueBatch.pair_products
+
+    def spy(self, xs, ys):
+        for start, P in real(self, xs, ys):
+            blocks.append(start)
+            yield start, P
+    monkeypatch.setattr(ResidueBatch, "pair_products", spy)
+    for F, small, big in ((F2, 3, 7), (F3, 2, 4), (F4, 2, 3), (F9, 1, 2)):
+        t, m1 = T_of(F), -1 % F.p
+        curves = [
+            (bivar(F, {(0, 2): 1, (3, 0): m1, (1, 0): t, (0, 0): 1}), small),
+            (bivar(F, {(1, 1): 1, (1, 0): 1}), small),
+            (bivar(F, {(1, 0): 1, (0, 0): 1}), small),
+            (bivar(F, {(0, 2): t, (1, 1): 1, (2, 1): m1, (2, 0): t + one(F),
+                       (0, 0): 1}), big)]
+        for C, deg in curves:
+            ring = ResidueRing(random_irreducible(F, deg, 3), check=False)
+            Fr = C.reduce_mod(ring)
+            want = list(_root_sets_reference(Fr, ring))
+            xs, ys = root_sets(Fr, ring)
+            assert (np.diff(xs) >= 0).all()
+            assert [ys[xs == x].tolist() for x in range(ring.size)] == \
+                [r.tolist() for r in want]
+            if C is curves[1][0]:
+                assert len(want[0]) == ring.size
+    assert max(blocks) > 0
 
 
 def test_count_points_examples(F2):

@@ -479,6 +479,48 @@ def test_residue_batch_matches_ring():
         assert (got == digit_rows(F, want, deg)).all()
 
 
+def test_pair_products_match_mul(F2, F3, F4, F9):
+    # every block of x * y against mul on the repeated and tiled rows, and
+    # the side-by-side form (J residues a row) against the sum of J muls;
+    # 128 residues of GF(2)^7 take several blocks, and empty xs or ys
+    # yield no block or empty ones
+    rng = np.random.default_rng(31)
+    split = False
+    for F, deg in ((F2, 3), (F2, 7), (F3, 2), (F3, 4), (F4, 2), (F9, 2)):
+        batch = ResidueRing(random_irreducible(F, deg, 4), check=False).batch()
+        mk = batch.m * batch.k
+        for J, nx, ny in ((1, batch.n, batch.n), (1, 5, 3), (3, 40, 17),
+                          (1, 0, 4), (2, 6, 0)):
+            xs = rng.integers(0, F.p, (nx, J * mk))
+            ys = rng.integers(0, F.p, (ny, J * mk))
+            blocks = list(batch.pair_products(xs, ys))
+            starts = [start for start, _ in blocks]
+            assert starts == sorted(starts) and (not nx or starts[0] == 0)
+            split |= len(blocks) > 1
+            got = np.concatenate([P for _, P in blocks]) if blocks else \
+                np.zeros((0, ny, mk), dtype=np.int64)
+            assert got.shape == (nx, ny, mk)
+            want = np.zeros((nx * ny, mk), dtype=np.int64)
+            for j in range(J):
+                part = slice(j * mk, (j + 1) * mk)
+                want += batch.mul(np.repeat(xs[:, part], ny, axis=0),
+                                  np.tile(ys[:, part], (nx, 1)))
+            assert (got.reshape(-1, mk) == want % F.p).all()
+    assert split
+
+
+def test_pair_products_overflow_refused():
+    # one digit product of size (p-1)**2 fits int64 for this prime, two do
+    # not: a degree-1 ring gets a batch, but two residues side by side are
+    # refused before the structure constants or any block is built
+    F = GF(3037000493)
+    batch = ResidueRing(Poly(F, [1, 1]), check=False).batch()
+    rows = np.ones((3, 2), dtype=np.int64)
+    with pytest.raises(OverflowError):
+        next(batch.pair_products(rows, rows))
+    assert "_structure" not in batch.__dict__
+
+
 def test_box_digit_rows_match_members(F2, F3, F4, F9):
     # shifted boxes, whole and partial ranges, widths below, at and above
     # the members' width
