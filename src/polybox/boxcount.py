@@ -12,6 +12,9 @@ Three interchangeable enumeration strategies:
 * ``graph``  -- closed-form walk for c*Y + c'*X^e shapes on base-0 boxes,
   where the viable x-degrees are decided by degree arithmetic alone.
 
+crt and graph read the box as digit rows (`residues.box_digit_rows`) and
+build a Poly only for an x, or a pair, that they output.
+
 All strategies return identical point sets; ``auto`` picks by shape and
 size.  Residue statistics (the reduction-multiplicity profile of a point
 set modulo f) live here too.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -30,8 +33,8 @@ from .intervals import Interval, zero_interval
 from .curves import BivarPoly, root_sets
 from .poly import (Poly, horner, monic_irreducibles_of_degree, one, sort_key,
                    zero)
-from .residues import (ResidueRing, coeff_rows, digit_rows, int64_dot_bound,
-                       mul_matrix)
+from .residues import (_BLOCK, ResidueRing, box_digit_rows, coeff_rows,
+                       convolve, digit_rows, int64_dot_bound, mul_matrix)
 
 _NAIVE_LIMIT = 1 << 8    # pair count up to which the double loop wins (README)
 _COMBO_CAP = 4096        # CRT candidate combinations per x before fallback
@@ -95,7 +98,24 @@ def _graph_applicable(F, box_x, box_y) -> bool:
             and not box_x.base and not box_y.base)
 
 
+def _power_rows(fld, xs: np.ndarray, e: int) -> np.ndarray:
+    """Digit rows of x**e, e >= 1, for the digit rows xs, by squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = xs if out is None else convolve(fld, out, xs)
+        e >>= 1
+        if not e:
+            return out
+        xs = convolve(fld, xs, xs)
+
+
 def _graph_points(F: BivarPoly, box_x: Interval, box_y: Interval):
+    """The pairs (x, ratio * x**e) of the box, x in box order.
+
+    The x of degree <= dmax are read as digit rows of zero_interval(dmax),
+    in slices of _BLOCK y digits, and their y come from `convolve`; a Poly
+    is built only for a pair that is output."""
     e, cy, cx = _graph_shape(F)
     fld = F.field
     ratio = (-cx).scaled(fld.inv(cy.coeffs[0]))   # y = ratio * x**e
@@ -104,23 +124,23 @@ def _graph_points(F: BivarPoly, box_x: Interval, box_y: Interval):
     # in the box and on the curve; a prefix is re-verified as a tripwire
     # (full equivalence with naive/crt is covered by tests).
     dmax = min(box_x.bound, (box_y.bound - int(ratio.degree)) // e)
-    cands = zero_interval(fld, dmax) if dmax >= 0 else [zero(fld)]
-    scale_unit = ratio.coeffs == (fld.one,)
+    if dmax < 0:
+        slices = [np.zeros((1, fld.k), dtype=np.int64)]    # x = 0 alone
+    else:
+        grid = zero_interval(fld, dmax)
+        step = max(1, _BLOCK // ((box_y.bound + 1) * fld.k))
+        slices = (box_digit_rows(grid, start, start + step, dmax + 1)
+                  for start in range(0, grid.size, step))
+    ratio_row = digit_rows(fld, [ratio], len(ratio.coeffs))
     out = []
-    for x in cands:
-        xe = x * x
-        if e == 3:
-            xe = xe * x
-        elif e == 4:
-            xe = xe * xe
-        elif e != 2:
-            xe = x ** e
-        y = xe if scale_unit else ratio * xe
-        if len(out) < 64 and (not box_x.contains(x)
-                              or not box_y.contains(y)
-                              or F.evaluate(x, y)):
+    for xs in slices:
+        ys = convolve(fld, _power_rows(fld, xs, e), ratio_row)
+        out.extend(zip(map(Poly, repeat(fld), coeff_rows(fld, xs).tolist()),
+                       map(Poly, repeat(fld), coeff_rows(fld, ys).tolist())))
+    for x, y in out[:64]:
+        if (not box_x.contains(x) or not box_y.contains(y)
+                or F.evaluate(x, y)):
             raise AssertionError("graph strategy produced an invalid point")
-        out.append((x, y))
     return out
 
 
@@ -144,7 +164,7 @@ class CrtRootSolver:
     The tables are int64 arrays (`lifts`), one (counts, roots, L) per
     modulus u, each from one `root_sets` call: blocked digit products
     over the whole plane mod u, with no loop over residues.
-    `box_candidates` sieves and lifts a whole list of x at once;
+    `box_candidates` sieves and lifts the digit rows of a whole box;
     `candidates` lifts one x and is the per-x reference.  F_q[T]/(u)
     is an F_p-space of k*deg u digits (`digit_rows`), and the lift is
     F_p-linear on them, y = sum_u roots_u @ L_u mod p.
@@ -235,31 +255,34 @@ class CrtRootSolver:
             out.append(y % self.M)
         return out
 
-    def box_candidates(self, xs, box_y: Interval):
-        """(x, ys) for the x of xs, in order, with CRT candidates in box_y,
-        or (x, None) where candidates() caps; x with no candidate in box_y
-        are left out.
+    def box_candidates(self, box_x: Interval, box_y: Interval):
+        """(x, ys) for the x of box_x, in box order, with CRT candidates in
+        box_y, or (x, None) where candidates() caps; x with no candidate in
+        box_y are left out.
 
-        Per chunk of x: one digit-matrix product per modulus u gives
-        x mod u, the root arrays drop x without roots, multi-root x expand
-        by np.repeat, and one product per modulus lifts every combination.
-        Membership is read on the digits above the box bound.
+        The box is read as digit rows (box_digit_rows), _ROWS_PER_PASS x
+        at a time: one digit-matrix product per modulus u gives x mod u,
+        the root arrays drop x without roots, multi-root x expand by
+        np.repeat, and one product per modulus lifts every combination.
+        Membership is read on the digits above the box bound, and a Poly
+        is built only for an x that is yielded.
         """
         fld = self.F.field
         p, k, cap = fld.p, fld.k, self.combo_cap
         width = self.M.degree * k
         high = (box_y.bound + 1) * k   # digits of T**(bound+1) and above
         top = digit_rows(fld, [box_y.base], self.M.degree)[0, high:]
-        xs = iter(xs)
-        while chunk := list(islice(xs, _ROWS_PER_PASS)):
-            d = max(1, max(len(x.coeffs) for x in chunk))
-            int64_dot_bound(d * k, p)
-            X = digit_rows(fld, chunk, d)
+        d = box_x.max_degree() + 1
+        int64_dot_bound(d * k, p)
+        # per modulus u: the digits of x mod u, and their base-p index
+        reds = [(mul_matrix(one(fld), d, ring.f), p ** np.arange(ring.deg * k))
+                for ring in self.rings]
+        for start in range(0, box_x.size, _ROWS_PER_PASS):
+            X = box_digit_rows(box_x, start, start + _ROWS_PER_PASS, d)
             idx = []
-            combos = np.ones(len(chunk), dtype=np.int64)
-            for ring, (counts, _, _) in zip(self.rings, self.lifts):
-                red = mul_matrix(one(fld), d, ring.f)
-                i = (X @ red % p) @ (p ** np.arange(ring.deg * k))
+            combos = np.ones(len(X), dtype=np.int64)
+            for (red, powers), (counts, _, _) in zip(reds, self.lifts):
+                i = (X @ red % p) @ powers
                 idx.append(i)
                 combos = np.minimum(combos * counts[i], cap + 1)
             found = {int(i): None for i in np.flatnonzero(combos > cap)}
@@ -280,15 +303,17 @@ class CrtRootSolver:
                 ys = coeff_rows(fld, acc[keep]).tolist()
                 for j, y in zip(part[keep].tolist(), ys):
                     found.setdefault(j, []).append(Poly(fld, y))
-            for j in sorted(found):
-                yield chunk[j], found[j]
+            js = sorted(found)
+            for j, x in zip(js, coeff_rows(fld, X[js]).tolist()):
+                yield Poly(fld, x), found[j]
 
 
-def _crt_points(F, xs, box_y, solver):
-    """Zeros (x, y) with x from xs: CRT candidates in box_y, or all of
-    box_y when the solver caps the combinations, confirmed exactly."""
+def _crt_points(F, box_x, box_y, solver):
+    """Zeros (x, y) of the box: the solver's CRT candidates in box_y, read
+    from the digit rows of box_x (box_candidates), or all of box_y when
+    the solver caps the combinations, confirmed exactly."""
     out = []
-    for x, cands in solver.box_candidates(xs, box_y):
+    for x, cands in solver.box_candidates(box_x, box_y):
         ys = box_y if cands is None else filter(box_y.contains, cands)
         out.extend((x, y) for y in ys if not F.evaluate(x, y))
     return out

@@ -4,18 +4,20 @@ Elements are canonical remainders (Poly of degree < deg f).  The ring is a
 field of size |f| = q**deg(f), and an F_p-space of dimension k*deg(f) for
 q = p**k: `digit_rows` writes a residue as its F_p digits, whose base-p
 value is `ResidueRing.index`, and `box_digit_rows` writes the members of a
-box the same way without building them.  `ResidueBatch` multiplies and
-encodes digit rows, built from (p, k, f) alone, so box-sized work modulo a
-large f allocates only box-sized arrays; its whole-field matrix `digits`
-(every residue, for point counts and crt root tables) is built on first
-use.  `int64_dot_bound` states, and checks, the overflow bound of every
-int64 digit product in the package, and `_BLOCK` bounds the entries of
-every transient block of products.
+box the same way without building them.  `convolve` multiplies digit rows
+as polynomials, the one product kernel.  `ResidueBatch` multiplies (a
+`convolve` and its reduction) and encodes digit rows, built from (p, k, f)
+alone, so box-sized work modulo a large f allocates only box-sized
+arrays; its whole-field matrix `digits` (every residue, for point counts
+and crt root tables) is built on first use.  `int64_dot_bound` states,
+and checks, the overflow bound of every int64 digit product in the
+package, and `_BLOCK` bounds the entries of every transient block of
+products.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,6 +96,40 @@ def mul_matrix(g: Poly, n: int, f: Poly) -> np.ndarray:
         rows.extend(t.scaled(fld.p ** l) for l in range(fld.k))
         t = t.shifted(1) % f
     return digit_rows(fld, rows, len(f.coeffs) - 1)
+
+
+@lru_cache(maxsize=None)
+def _u_powers(field) -> tuple:
+    """u**l for l = 1 .. k-1 on one T-coefficient's k digits: k x k
+    matrices (mul_matrix mod T), none for k = 1."""
+    t = Poly(field, (0, 1))
+    return tuple(mul_matrix(Poly(field, (field.p ** l,)), 1, t)
+                 for l in range(1, field.k))
+
+
+def convolve(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Digit rows of the products a_i * b_i in F_q[T], not reduced.
+
+    a holds (N, na*k) and b (N or 1, nb*k) digit rows (digit_rows) of
+    polynomials below T**na and T**nb; the result is (N, (na+nb-1)*k).
+    The product is F_p-bilinear: each digit of the shorter operand scales
+    the other multiplied by the power u**l of the field generator that the
+    digit stands for (_u_powers), shifted to its T-coefficient.  Each entry
+    sums min(na, nb)*k digit products, checked before any array is built.
+    """
+    p, k = field.p, field.k
+    na, nb = a.shape[1] // k, b.shape[1] // k
+    int64_dot_bound(min(na, nb) * k, p)
+    if na > nb:
+        a, b, na, nb = b, a, nb, na
+    bs = [b] + [(b.reshape(len(b), nb, k) @ A).reshape(b.shape) % p
+                for A in _u_powers(field)]
+    conv = np.zeros((len(b) if len(a) == 1 else len(a), (na + nb - 1) * k),
+                    dtype=np.int64)
+    for i in range(na):
+        for l, bl in enumerate(bs):
+            conv[:, i * k: (i + nb) * k] += a[:, i * k + l, None] * bl
+    return conv % p
 
 
 class ResidueRing:
@@ -213,11 +249,9 @@ class ResidueBatch:
     order (the base-p value of row i is i), is built on first use, so a
     batch over a large f holds only the arrays it is given.
 
-    `mul` is F_p-bilinear on digits: a T-convolution of a's digits against
-    b multiplied by each power u**l of the field generator (a k x k matrix
-    per power, none for k = 1), then a reduction of the high
-    T-coefficients.  Digit arrays use int64, and each entry sums digit
-    products: k for b * u**l, m*k for the convolution and (m-1)*k for the
+    `mul` is F_p-bilinear on digits: the T-convolution `convolve`, then a
+    reduction of the high T-coefficients.  Digit arrays use int64, and each
+    entry sums digit products: m*k for the convolution and (m-1)*k for the
     reduction.  The largest, m*k*(p-1)**2, is checked before any array is
     allocated.  Indices (`encode`) are int64 below |f| = 2**63 and Python
     ints from there on, so they are exact at every size.
@@ -234,9 +268,6 @@ class ResidueBatch:
                                                dtype=object)
         # rows: u**l * T**j mod f for j = m .. 2m-2 (product overflow)
         self.reduction = mul_matrix(Poly(fld, (0,) * m + (1,)), m - 1, ring.f)
-        # u**l on one T-coefficient's k digits (mod T): a k x k matrix
-        self.u_powers = [mul_matrix(Poly(fld, (p ** l,)), 1, Poly(fld, (0, 1)))
-                         for l in range(1, k)]
         self._box_reduction = {}    # width n -> mul_matrix(one, n, f)
 
     @cached_property
@@ -260,17 +291,12 @@ class ResidueBatch:
         return box_digit_rows(I, 0, I.size, n) @ red % self.p
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise product of residue digit matrices, reduced mod f."""
-        m, k, p = self.m, self.k, self.p
-        bs = [b] + [(b.reshape(len(b), m, k) @ A).reshape(b.shape) % p
-                    for A in self.u_powers]
-        conv = np.zeros((max(len(a), len(b)), (2 * m - 1) * k),
-                        dtype=np.int64)
-        for i in range(m):
-            for l, bl in enumerate(bs):
-                conv[:, i * k: (i + m) * k] += a[:, i * k + l, None] * bl
-        conv %= p
-        return (conv[:, :m * k] + conv[:, m * k:] @ self.reduction) % p
+        """Row-wise product of residue digit matrices, reduced mod f: the
+        T-convolution `convolve`, then its T**m .. T**(2m-2) digits through
+        `reduction`."""
+        mk = self.m * self.k
+        conv = convolve(self.ring.field, a, b)
+        return (conv[:, :mk] + conv[:, mk:] @ self.reduction) % self.p
 
     @cached_property
     def _structure(self) -> np.ndarray:

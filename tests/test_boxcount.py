@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from polybox import (GF, BivarPoly, Interval, Poly, bivar,
+from polybox import (GF, BivarPoly, Interval, Poly, bivar, constant,
                      enumerate_box_points, exponent_scan, one,
                      random_irreducible, residue_stats, zero, zero_interval)
 from polybox import boxcount
-from polybox.boxcount import CrtRootSolver, _crt_points
+from polybox.boxcount import (CrtRootSolver, _crt_points, _graph_points,
+                              _graph_shape)
 from polybox.poly import T as T_of, random_poly
 from polybox.residues import coeff_rows
 
@@ -134,6 +136,65 @@ def test_graph_strategy_guard(F2):
                              strategy="graph")
 
 
+def _graph_points_reference(F, box_x, box_y):
+    """The graph strategy one x at a time in Poly arithmetic: the
+    reference for the digit-row _graph_points, in the same order."""
+    e, cy, cx = _graph_shape(F)
+    fld = F.field
+    ratio = (-cx).scaled(fld.inv(cy.coeffs[0]))   # y = ratio * x**e
+    # deg(ratio * x**e) = deg ratio + e*deg x exactly (single term), so the
+    # viable x are those of degree <= dmax, and every constructed pair lies
+    # in the box and on the curve; a prefix is re-verified as a tripwire
+    # (full equivalence with naive/crt is covered by tests).
+    dmax = min(box_x.bound, (box_y.bound - int(ratio.degree)) // e)
+    cands = zero_interval(fld, dmax) if dmax >= 0 else [zero(fld)]
+    scale_unit = ratio.coeffs == (fld.one,)
+    out = []
+    for x in cands:
+        xe = x * x
+        if e == 3:
+            xe = xe * x
+        elif e == 4:
+            xe = xe * xe
+        elif e != 2:
+            xe = x ** e
+        y = xe if scale_unit else ratio * xe
+        if len(out) < 64 and (not box_x.contains(x)
+                              or not box_y.contains(y)
+                              or F.evaluate(x, y)):
+            raise AssertionError("graph strategy produced an invalid point")
+        out.append((x, y))
+    return out
+
+
+def test_graph_points_match_reference(F2, F3, F4, F9, monkeypatch):
+    # digit-row graph points == the Poly loop, list-equal in box order, on
+    # prime and extension fields: every power e = 1..5, unit, non-unit
+    # constant and degree 1-2 ratios, box_y narrower than box_x, and
+    # ratios of degree above box_y.bound (only x = 0 is viable); a 20-entry
+    # block reads the x in several slices
+    rng = random.Random(29)
+    beyond = 0
+    for F, block in product((F2, F3, F4, F9), (boxcount._BLOCK, 20)):
+        monkeypatch.setattr(boxcount, "_BLOCK", block)
+        ratios = [one(F),
+                  Poly(F, [rng.randrange(F.q), rng.randrange(1, F.q)]),
+                  Poly(F, [rng.randrange(F.q), rng.randrange(F.q),
+                           rng.randrange(1, F.q)])]
+        if F.q > 2:
+            ratios.append(constant(F, rng.randrange(2, F.q)))
+        for ratio in ratios:
+            for e in range(1, 6):
+                c = rng.randrange(1, F.q)
+                C = bivar(F, {(0, 1): c, (e, 0): -ratio.scaled(c)})
+                for bx, by in ((2, 2), (3, 1)):
+                    box_x, box_y = zero_interval(F, bx), zero_interval(F, by)
+                    beyond += ratio.degree > by
+                    assert (_graph_points(C, box_x, box_y)
+                            == _graph_points_reference(C, box_x, box_y))
+    assert beyond
+
+
 def test_crt_solver_norm_product_exceeds_window(F2):
     C = _rand_bivar(F2, 3, 1, random.Random(4))
     solver = CrtRootSolver(C, value_degree_bound=6)
@@ -221,6 +282,41 @@ def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9,
                                                  strategy="naive").points
                     assert set(got) == set(naive)
         assert all(capped[ext] and expanded[ext] for ext in (False, True))
+
+
+def test_crt_box_passes_at_pass_boundaries(F2, F3, F4, F9, monkeypatch):
+    # box_candidates reads box_x in passes of _ROWS_PER_PASS digit rows:
+    # box sizes at, one below and one above a multiple of the pass size,
+    # on bases of degree above the box bound, against the per-x map and
+    # naive; (Y - X - h)(Y - X - h') has two points at every x of the box
+    rng = random.Random(93)
+    seen, found = set(), 0
+    for F, n in ((F2, 2), (F2, 3), (F3, 1), (F3, 2), (F4, 1), (F9, 1)):
+        t = T_of(F)
+        base = random_poly(F, n, rng) + t ** (n + 2)
+        h = random_poly(F, n + 1, rng)
+        lines = [bivar(F, {(0, 1): 1, (1, 0): -1 % F.p, (0, 0): -g})
+                 for g in (h, h + random_poly(F, n, rng))]
+        for C in (_rand_bivar(F, 3, 1, rng), lines[0] * lines[1]):
+            box_x = Interval(base, n)
+            box_y = Interval(base + h, n)
+            solver = CrtRootSolver(C, box_x.max_degree())
+            _, _, _, per_x = _per_x_points(C, box_x, box_y, solver)
+            naive = enumerate_box_points(C, box_x, box_y,
+                                         strategy="naive").points
+            found += len(naive)
+            size = box_x.size
+            for rows in {size - 1, size, size + 1, size // 2,
+                         (size + 1) // 2, (size - 1) // 2} - {0, 1}:
+                seen |= {(where, size > rows) for where, shift
+                         in (("at", 0), ("below", 1), ("above", -1))
+                         if (size + shift) % rows == 0}
+                monkeypatch.setattr(boxcount, "_ROWS_PER_PASS", rows)
+                assert dict(solver.box_candidates(box_x, box_y)) == per_x
+                assert enumerate_box_points(C, box_x, box_y, strategy="crt",
+                                            _solver=solver).points == naive
+    assert {(where, True) for where in ("at", "below", "above")} <= seen
+    assert found
 
 
 def test_enumerate_monotone_in_n(F2):

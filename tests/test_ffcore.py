@@ -14,7 +14,9 @@ from polybox import (GF, Interval, NEG_INF, Poly, constant, frac_dist,
                      zero_interval)
 from polybox.ffield import FiniteField
 from polybox.poly import horner, powmod, random_poly, T as T_of
-from polybox.residues import ResidueRing, box_digit_rows, digit_rows
+from polybox import residues
+from polybox.residues import (ResidueRing, box_digit_rows, coeff_rows,
+                              convolve, digit_rows)
 
 
 def _schoolbook(a, b):
@@ -519,6 +521,39 @@ def test_pair_products_overflow_refused():
     with pytest.raises(OverflowError):
         next(batch.pair_products(rows, rows))
     assert "_structure" not in batch.__dict__
+
+
+def test_convolve_matches_poly_mul(F2, F3, F4, F9):
+    # row by row against Poly.__mul__: equal and unequal lengths, length 1,
+    # one row of b against N rows of a (and of a against b), zero
+    # polynomials among the rows, and no rows at all
+    rng = random.Random(17)
+    for F in (F2, F3, F4, F9):
+        for na, nb, N, Nb in ((1, 1, 6, 6), (1, 5, 6, 6), (5, 1, 6, 6),
+                              (3, 7, 9, 9), (7, 3, 9, 1), (4, 4, 9, 1),
+                              (2, 6, 1, 9), (3, 2, 0, 1), (3, 2, 0, 0)):
+            a = [random_poly(F, na - 1, rng) for _ in range(N)]
+            b = [random_poly(F, nb - 1, rng) for _ in range(Nb)]
+            if N > 1:
+                a[0] = zero(F)
+            got = convolve(F, digit_rows(F, a, na), digit_rows(F, b, nb))
+            rows = max(N, Nb) if min(N, Nb) == 1 else N
+            assert got.shape == (rows, (na + nb - 1) * F.k)
+            want = [x * y for x, y in zip(a * (rows if N == 1 else 1),
+                                          b * (rows if Nb == 1 else 1))]
+            assert [Poly(F, c) for c in coeff_rows(F, got).tolist()] == want
+
+
+def test_convolve_overflow_refused(monkeypatch):
+    # one digit product of size (p-1)**2 fits int64 for this prime, two do
+    # not: the bound is min(na, nb)*k, checked before the product array
+    F = GF(3037000493)
+    long = digit_rows(F, [Poly(F, [F.p - 1] * 3)], 3)
+    short = digit_rows(F, [Poly(F, [F.p - 1])], 1)
+    assert (convolve(F, long, short) == 1).all()   # (-1)*(-1) = 1
+    monkeypatch.setattr(residues.np, "zeros", None)
+    with pytest.raises(OverflowError):
+        convolve(F, long, long[:, :2])
 
 
 def test_box_digit_rows_match_members(F2, F3, F4, F9):
