@@ -13,9 +13,12 @@ import random
 from itertools import chain, product
 from typing import Iterable, Sequence
 
-from .ffield import FiniteField, prime_factors
+from .ffield import FiniteField
 
 NEG_INF = float("-inf")
+# moduli proven irreducible, oldest first; positive verdicts only
+_PROVEN: dict = {}
+_PROVEN_LIMIT = 512
 
 
 class Poly:
@@ -76,6 +79,8 @@ class Poly:
     # -- ring operations --
 
     def _check(self, other: "Poly"):
+        if type(other) is Poly and other.field is self.field:
+            return
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
         if other.field is not self.field and other.field != self.field:
@@ -96,14 +101,16 @@ class Poly:
             out = list(a)
             for i, c in enumerate(b):
                 out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        while out and out[-1] == 0:
+            out.pop()
+        return _poly(F, tuple(out))
 
     def __neg__(self):
         F = self.field
         if F.k == 1:
             p = F.p
-            return Poly(F, [-c % p for c in self.coeffs])
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+            return _poly(F, tuple([-c % p for c in self.coeffs]))
+        return _poly(F, tuple([F.neg(c) for c in self.coeffs]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -113,7 +120,7 @@ class Poly:
         F = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly(F, ())
+            return _poly(F, ())
         out = [0] * (len(a) + len(b) - 1)
         if F.k == 1:
             # defer the reduction: convolution sums stay exact integers
@@ -129,23 +136,24 @@ class Poly:
                 if ai:
                     for j, bj in enumerate(b):
                         out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(F, out)
+        # the lead is a product of units, so nothing trails
+        return _poly(F, tuple(out))
 
     def scaled(self, c: int) -> "Poly":
         """Multiply by a field element."""
         F = self.field
         if c == 0:
-            return Poly(F, ())
+            return _poly(F, ())
         if F.k == 1:
             p = F.p
-            return Poly(F, [a * c % p for a in self.coeffs])
-        return Poly(F, [F.mul(a, c) for a in self.coeffs])
+            return _poly(F, tuple([a * c % p for a in self.coeffs]))
+        return _poly(F, tuple([F.mul(a, c) for a in self.coeffs]))
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by T**k."""
         if not self.coeffs or k == 0:
             return self if k >= 0 else Poly(self.field, ())
-        return Poly(self.field, (0,) * k + self.coeffs)
+        return _poly(self.field, (0,) * k + self.coeffs)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -170,7 +178,7 @@ class Poly:
         b = other.coeffs
         if len(b) == 1:
             inv = F.inv(b[0])
-            return self.scaled(inv), Poly(F, ())
+            return self.scaled(inv), _poly(F, ())
         a = list(self.coeffs)
         db = len(b) - 1
         inv_lead = F.inv(b[-1])
@@ -196,7 +204,10 @@ class Poly:
                     for j in range(len(b) - 1):
                         a[off + j] = F.sub(a[off + j], F.mul(qc, b[j]))
                 a.pop()
-        return Poly(F, quot), Poly(F, a)
+        while a and a[-1] == 0:
+            a.pop()
+        # quot's top entry comes from self's nonzero lead
+        return _poly(F, tuple(quot)), _poly(F, tuple(a))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -221,6 +232,22 @@ class Poly:
             if c:
                 acc = acc + Poly(F, (c,))
         return acc
+
+
+_new = object.__new__
+_set_field = Poly.field.__set__
+_set_coeffs = Poly.coeffs.__set__
+
+
+def _poly(field: FiniteField, coeffs: tuple) -> Poly:
+    """Internal constructor: wrap a tuple with no trailing zero, unchecked.
+
+    For results already known to be normalised; Poly() trims and copies.
+    """
+    self = _new(Poly)
+    _set_field(self, field)
+    _set_coeffs(self, coeffs)
+    return self
 
 
 # -- constructors --
@@ -297,39 +324,47 @@ def poly_xgcd(a: Poly, b: Poly):
 
 def powmod(base: Poly, e: int, f: Poly) -> Poly:
     """base**e mod f by square-and-multiply."""
-    result = one(base.field)
-    base = base % f
-    while e:
+    if len(base.coeffs) >= len(f.coeffs):
+        base = base % f
+    if not e:
+        return one(base.field)
+    result = None
+    while True:
         if e & 1:
-            result = (result * base) % f
-        base = (base * base) % f
+            result = base if result is None else (result * base) % f
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = (base * base) % f
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Deterministic irreducibility test over F_q.
+    """Deterministic irreducibility test over F_q (Ben-Or).
 
-    f of degree n is irreducible iff T**(q**n) == T mod f and, for every
-    prime r dividing n, gcd(f, T**(q**(n/r)) - T) = 1.
+    f of degree n is irreducible iff gcd(f, T**(q**i) - T) = 1 for every
+    i <= n/2: T**(q**i) - T is the product of the monic irreducibles of
+    degree dividing i, and a reducible f has a factor of degree <= n/2.
+    The Frobenius h = T**(q**i) mod f is raised one step at a time, so
+    the test stops at the first i that a factor's degree divides.
+
+    Moduli proven irreducible are remembered (the last _PROVEN_LIMIT of
+    them, keyed by the Poly, whose equality includes the field), so a ring
+    or field rebuilt over the same f does not prove it again.  Rejections
+    are not remembered.
     """
     if f.is_constant():
         raise ValueError("irreducibility is undefined for constants")
-    n = len(f.coeffs) - 1
-    if n == 1:
+    if f in _PROVEN:
         return True
     F = f.field
-    t = T(F)
-    # iterate the q-power Frobenius on T rather than exponentiating to q**n
-    frob = [t % f]
-    for _ in range(n):
-        frob.append(powmod(frob[-1], F.q, f))
-    if frob[n] != t % f:
-        return False
-    for r in prime_factors(n):
-        g = poly_gcd(f, frob[n // r] - t)
-        if g.degree != 0:
+    t = h = T(F)
+    for _ in range((len(f.coeffs) - 1) // 2):
+        h = powmod(h, F.q, f)
+        if poly_gcd(f, h - t).degree != 0:
             return False
+    if len(_PROVEN) >= _PROVEN_LIMIT:
+        del _PROVEN[next(iter(_PROVEN))]
+    _PROVEN[f] = None
     return True
 
 

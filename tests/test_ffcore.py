@@ -12,7 +12,9 @@ from polybox import (GF, Interval, NEG_INF, Poly, constant, frac_dist,
                      is_irreducible, monic_irreducibles, one, parse_poly,
                      poly_gcd, poly_text, random_irreducible, zero,
                      zero_interval)
-from polybox.ffield import FiniteField
+from polybox import cli
+from polybox import poly as poly_mod
+from polybox.ffield import FiniteField, prime_factors
 from polybox.poly import horner, powmod, random_poly, T as T_of
 from polybox import residues
 from polybox.residues import (ResidueRing, box_digit_rows, coeff_rows,
@@ -227,6 +229,36 @@ def test_norm_multiplicative_and_ultrametric(q, data):
         assert (a + b).norm == max(a.norm, b.norm)
 
 
+def _assert_normalised(r, F):
+    assert type(r) is Poly and r.field is F and type(r.coeffs) is tuple
+    assert not r.coeffs or r.coeffs[-1] != 0
+    assert r == Poly(F, list(r.coeffs))
+
+
+@given(st.sampled_from([2, 3, 4, 5, 9]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_results_are_normalised(q, data):
+    # the ring operations wrap their results without trimming again, so
+    # each must come out with no trailing zero; zero and constants included
+    F = GF(q)
+    coeffs = st.lists(st.integers(0, q - 1), max_size=7)
+    a = Poly(F, data.draw(coeffs))
+    c = data.draw(st.integers(0, q - 1))
+    for b in (Poly(F, data.draw(coeffs)), zero(F), Poly(F, [c]), a):
+        results = [a + b, b + a, a - b, a * b, -a, -b, a.scaled(c),
+                   b.scaled(c), b.shifted(2)]
+        if b:
+            s, r = divmod(a, b)
+            assert s * b + r == a and r.degree < b.degree
+            results += [s, r]
+        if b.degree >= 1:
+            results.append(powmod(a, data.draw(st.integers(0, 9)), b))
+        if a or b:
+            results.append(poly_gcd(a, b))
+        for r in results:
+            _assert_normalised(r, F)
+
+
 # -- gcd --
 
 def test_gcd_examples(F2):
@@ -293,14 +325,147 @@ def test_random_irreducible(F2):
         assert divides == (j == 4)
 
 
-def test_monic_irreducible_counts(F2, F3):
+def _mobius(n):
+    out, m = 1, n
+    for r in prime_factors(n):
+        m //= r
+        if m % r == 0:
+            return 0
+        out = -out
+    return out
+
+
+def test_monic_irreducible_counts(F2, F3, F4, F5, F9):
     # Gauss counts: number of monic irreducibles of degree d over F_q
     expected = {(2, 1): 2, (2, 2): 1, (2, 3): 2, (2, 4): 3,
                 (3, 1): 3, (3, 2): 3, (3, 3): 8}
+    # and Gauss's formula (1/d) sum_{e | d} mu(e) q^(d/e) for q = 4, 5, 9
+    for q, top in ((4, 3), (5, 3), (9, 2)):
+        for d in range(1, top + 1):
+            total = sum(_mobius(e) * q ** (d // e)
+                        for e in range(1, d + 1) if d % e == 0)
+            expected[q, d] = total // d
+    fields = {2: F2, 3: F3, 4: F4, 5: F5, 9: F9}
     for (q, d), count in expected.items():
-        F = F2 if q == 2 else F3
-        got = sum(1 for f in monic_irreducibles(F, d) if f.degree == d)
+        got = sum(1 for f in monic_irreducibles(fields[q], d)
+                  if f.degree == d)
         assert got == count
+
+
+def _is_irreducible_reference(f: Poly) -> bool:
+    """Deterministic irreducibility test over F_q.
+
+    f of degree n is irreducible iff T**(q**n) == T mod f and, for every
+    prime r dividing n, gcd(f, T**(q**(n/r)) - T) = 1.
+    """
+    if f.is_constant():
+        raise ValueError("irreducibility is undefined for constants")
+    n = len(f.coeffs) - 1
+    if n == 1:
+        return True
+    F = f.field
+    t = T_of(F)
+    # iterate the q-power Frobenius on T rather than exponentiating to q**n
+    frob = [t % f]
+    for _ in range(n):
+        frob.append(powmod(frob[-1], F.q, f))
+    if frob[n] != t % f:
+        return False
+    for r in prime_factors(n):
+        g = poly_gcd(f, frob[n // r] - t)
+        if g.degree != 0:
+            return False
+    return True
+
+
+def test_irreducible_matches_reference_exhaustive(F2, F3, F4, F5, F9):
+    # every polynomial, monic or not, of each listed degree
+    for F, top in ((F2, 6), (F3, 5), (F4, 4), (F5, 4), (F9, 3)):
+        for d in range(1, top + 1):
+            for lead in range(1, F.q):
+                for tail in product(range(F.q), repeat=d):
+                    f = Poly(F, tail + (lead,))
+                    assert is_irreducible(f) == _is_irreducible_reference(f)
+
+
+def test_irreducible_matches_reference_on_products(F2, F3, F4):
+    # g*h of distinct irreducibles of equal degree: the only factors have
+    # degree exactly n/2, the last step of the test; and squares g^2
+    for F, top in ((F2, 5), (F3, 3), (F4, 2)):
+        for d in range(1, top + 1):
+            irr = [g for g in monic_irreducibles(F, d) if g.degree == d]
+            for i, g in enumerate(irr[:6]):
+                for h in irr[i + 1:i + 4]:
+                    assert not is_irreducible(g * h)
+                    assert not _is_irreducible_reference(g * h)
+                assert not is_irreducible(g * g)
+                assert not _is_irreducible_reference(g * g)
+
+
+def test_irreducible_matches_reference_planted(F2, F3):
+    # random degree 18..40 with a planted small irreducible factor, the
+    # unplanted polynomial, and a seeded irreducible of the same degree
+    rng = random.Random(20)
+    for F in (F2, F3):
+        small = list(monic_irreducibles(F, 3))
+        for _ in range(3):
+            n = rng.randrange(18, 41)
+            g = rng.choice(small)
+            h = Poly(F, [rng.randrange(F.q) for _ in range(n - g.degree)]
+                     + [rng.randrange(1, F.q)])
+            irr = random_irreducible(F, n, rng.randrange(100))
+            for f in (g * h, h, irr, g * irr):
+                assert is_irreducible(f) == _is_irreducible_reference(f)
+            assert not is_irreducible(g * h)
+            assert is_irreducible(irr)
+
+
+def test_proven_moduli_keyed_by_field(monkeypatch, F2, F3, F4):
+    # T^2 + 1 = (T + 1)^2 over GF(2), irreducible over GF(3);
+    # T^2 + T + 1 irreducible over GF(2), split over GF(4) (roots u, u + 1)
+    pairs = [(Poly(F2, [1, 0, 1]), False), (Poly(F3, [1, 0, 1]), True),
+             (Poly(F2, [1, 1, 1]), True), (Poly(F4, [1, 1, 1]), False)]
+    for first, second in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        monkeypatch.setattr(poly_mod, "_PROVEN", {})
+        for i in (first, second, first, second):
+            f, want = pairs[i]
+            assert is_irreducible(f) is want
+        assert all(is_irreducible(f) for f in poly_mod._PROVEN)
+
+
+def test_proven_moduli_record(monkeypatch, F2, F3):
+    monkeypatch.setattr(poly_mod, "_PROVEN", {})
+    c = Poly(F2, [1])
+    poly_mod._PROVEN[c] = None        # the constant check comes first
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_irreducible(c)
+    poly_mod._PROVEN.clear()
+    # a rejected candidate is never recorded, an accepted one is
+    assert not is_irreducible(Poly(F2, [1, 0, 1]))
+    assert not poly_mod._PROVEN
+    for _ in range(2):
+        f = random_irreducible(F2, 20, 4)
+        assert list(poly_mod._PROVEN) == [f]
+    # each modulus is proven once: rings, fields and the CLI reuse it
+    steps = []
+    real = poly_mod.powmod
+    monkeypatch.setattr(poly_mod, "powmod",
+                        lambda *a: steps.append(1) or real(*a))
+    ResidueRing(f)
+    ResidueRing.of(f)
+    assert ResidueRing.of(Poly(F2, f.coeffs)).f == f   # an equal copy
+    assert cli._resolve_f({"f": poly_text(f)}, F2) == f
+    assert not steps
+    m = random_irreducible(FiniteField(2), 6, 0)
+    steps.clear()
+    assert FiniteField(2, 6, modulus=m.coeffs).modulus == m.coeffs
+    assert not steps
+    # the record keeps the most recent _PROVEN_LIMIT moduli
+    monkeypatch.setattr(poly_mod, "_PROVEN_LIMIT", 5)
+    irr = list(monic_irreducibles(F3, 3))
+    assert len(irr) == 14
+    assert list(poly_mod._PROVEN) == irr[-5:]
 
 
 # -- frac_dist --
