@@ -16,9 +16,6 @@ from typing import Iterable, Sequence
 from .ffield import FiniteField
 
 NEG_INF = float("-inf")
-# moduli proven irreducible, oldest first; positive verdicts only
-_PROVEN: dict = {}
-_PROVEN_LIMIT = 512
 
 
 class Poly:
@@ -346,25 +343,15 @@ def is_irreducible(f: Poly) -> bool:
     degree dividing i, and a reducible f has a factor of degree <= n/2.
     The Frobenius h = T**(q**i) mod f is raised one step at a time, so
     the test stops at the first i that a factor's degree divides.
-
-    Moduli proven irreducible are remembered (the last _PROVEN_LIMIT of
-    them, keyed by the Poly, whose equality includes the field), so a ring
-    or field rebuilt over the same f does not prove it again.  Rejections
-    are not remembered.
     """
     if f.is_constant():
         raise ValueError("irreducibility is undefined for constants")
-    if f in _PROVEN:
-        return True
     F = f.field
     t = h = T(F)
     for _ in range((len(f.coeffs) - 1) // 2):
         h = powmod(h, F.q, f)
         if poly_gcd(f, h - t).degree != 0:
             return False
-    if len(_PROVEN) >= _PROVEN_LIMIT:
-        del _PROVEN[next(iter(_PROVEN))]
-    _PROVEN[f] = None
     return True
 
 

@@ -12,8 +12,6 @@ from polybox import (GF, Interval, NEG_INF, Poly, constant, frac_dist,
                      is_irreducible, monic_irreducibles, one, parse_poly,
                      poly_gcd, poly_text, random_irreducible, zero,
                      zero_interval)
-from polybox import cli
-from polybox import poly as poly_mod
 from polybox.ffield import FiniteField, prime_factors
 from polybox.poly import horner, powmod, random_poly, T as T_of
 from polybox import residues
@@ -418,54 +416,6 @@ def test_irreducible_matches_reference_planted(F2, F3):
                 assert is_irreducible(f) == _is_irreducible_reference(f)
             assert not is_irreducible(g * h)
             assert is_irreducible(irr)
-
-
-def test_proven_moduli_keyed_by_field(monkeypatch, F2, F3, F4):
-    # T^2 + 1 = (T + 1)^2 over GF(2), irreducible over GF(3);
-    # T^2 + T + 1 irreducible over GF(2), split over GF(4) (roots u, u + 1)
-    pairs = [(Poly(F2, [1, 0, 1]), False), (Poly(F3, [1, 0, 1]), True),
-             (Poly(F2, [1, 1, 1]), True), (Poly(F4, [1, 1, 1]), False)]
-    for first, second in ((0, 1), (1, 0), (2, 3), (3, 2)):
-        monkeypatch.setattr(poly_mod, "_PROVEN", {})
-        for i in (first, second, first, second):
-            f, want = pairs[i]
-            assert is_irreducible(f) is want
-        assert all(is_irreducible(f) for f in poly_mod._PROVEN)
-
-
-def test_proven_moduli_record(monkeypatch, F2, F3):
-    monkeypatch.setattr(poly_mod, "_PROVEN", {})
-    c = Poly(F2, [1])
-    poly_mod._PROVEN[c] = None        # the constant check comes first
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            is_irreducible(c)
-    poly_mod._PROVEN.clear()
-    # a rejected candidate is never recorded, an accepted one is
-    assert not is_irreducible(Poly(F2, [1, 0, 1]))
-    assert not poly_mod._PROVEN
-    for _ in range(2):
-        f = random_irreducible(F2, 20, 4)
-        assert list(poly_mod._PROVEN) == [f]
-    # each modulus is proven once: rings, fields and the CLI reuse it
-    steps = []
-    real = poly_mod.powmod
-    monkeypatch.setattr(poly_mod, "powmod",
-                        lambda *a: steps.append(1) or real(*a))
-    ResidueRing(f)
-    ResidueRing.of(f)
-    assert ResidueRing.of(Poly(F2, f.coeffs)).f == f   # an equal copy
-    assert cli._resolve_f({"f": poly_text(f)}, F2) == f
-    assert not steps
-    m = random_irreducible(FiniteField(2), 6, 0)
-    steps.clear()
-    assert FiniteField(2, 6, modulus=m.coeffs).modulus == m.coeffs
-    assert not steps
-    # the record keeps the most recent _PROVEN_LIMIT moduli
-    monkeypatch.setattr(poly_mod, "_PROVEN_LIMIT", 5)
-    irr = list(monic_irreducibles(F3, 3))
-    assert len(irr) == 14
-    assert list(poly_mod._PROVEN) == irr[-5:]
 
 
 # -- frac_dist --
