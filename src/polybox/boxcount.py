@@ -23,9 +23,11 @@ set modulo f) live here too.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product, repeat
+from functools import lru_cache
+from itertools import chain, count, product, repeat
 
 import numpy as np
 
@@ -34,7 +36,8 @@ from .curves import BivarPoly, root_sets
 from .poly import (Poly, horner, monic_irreducibles_of_degree, one, sort_key,
                    zero)
 from .residues import (_BLOCK, ResidueRing, box_digit_rows, coeff_rows,
-                       convolve, digit_rows, int64_dot_bound, mul_matrix)
+                       convolve, digit_rows, int64_dot_bound, mul_matrix,
+                       residue_classes)
 
 _NAIVE_LIMIT = 1 << 8    # pair count up to which the double loop wins (README)
 _COMBO_CAP = 4096        # CRT candidate combinations per x before fallback
@@ -146,16 +149,12 @@ def _graph_points(F: BivarPoly, box_x: Interval, box_y: Interval):
 
 # -- strategy: crt --
 
-_IRREDUCIBLE_CACHE: dict = {}
-
-
-def _monic_irreducibles_of_degree(fld, deg):
-    key = (fld, deg)
-    cached = _IRREDUCIBLE_CACHE.get(key)
-    if cached is None:
-        cached = tuple(monic_irreducibles_of_degree(fld, deg))
-        _IRREDUCIBLE_CACHE[key] = cached
-    return cached
+@lru_cache(maxsize=None)
+def _irreducibles(fld, deg) -> tuple:
+    """The monic irreducibles of degree deg, in canonical order, listed once
+    per (field, degree): polynomials, not rings, so no batch outlives its
+    solver."""
+    return tuple(monic_irreducibles_of_degree(fld, deg))
 
 
 class CrtRootSolver:
@@ -179,33 +178,26 @@ class CrtRootSolver:
         cap_deg = 1
         while fld.q ** (cap_deg + 1) <= _MODULUS_SIZE_CAP:
             cap_deg += 1
+        unused = {}   # degree -> one lazy iterator over its untried moduli
+
+        def pick(d):
+            """The next untried modulus of degree d that F does not vanish
+            modulo, as a ring, or None; a modulus passed over stays used."""
+            if d not in unused:
+                unused[d] = (ResidueRing(u, check=False)
+                             for u in _irreducibles(fld, d))
+            return next((r for r in unused[d] if F.reduce_mod(r)), None)
+
         moduli = []
-        taken: dict[int, int] = {}
         total = 0
         while total < needed:
-            # prefer a degree that closes the gap, within the size cap
+            # prefer a degree that closes the gap, within the size cap,
+            # then the degrees above the cap
             want = min(cap_deg, needed - total)
-            chosen = None
-            candidates = list(range(want, 0, -1))
-            grow = cap_deg + 1
-            while chosen is None:
-                if candidates:
-                    d = candidates.pop(0)
-                else:
-                    d = grow
-                    grow += 1
-                pool = _monic_irreducibles_of_degree(fld, d)
-                idx = taken.get(d, 0)
-                while idx < len(pool):
-                    u = pool[idx]
-                    idx += 1
-                    ring = ResidueRing(u, check=False)
-                    if F.reduce_mod(ring):
-                        chosen = ring
-                        break
-                taken[d] = idx
-            moduli.append(chosen)
-            total += chosen.deg
+            degrees = chain(range(want, 0, -1), count(cap_deg + 1))
+            ring = next(filter(None, map(pick, degrees)))
+            moduli.append(ring)
+            total += ring.deg
         self.rings = moduli
         M = one(fld)
         for r in moduli:
@@ -455,8 +447,6 @@ def residue_stats(S, f) -> ResidueProfile:
     if not points:
         raise ValueError("residue statistics need a nonempty point set")
     ring = ResidueRing.of(f)
-    counts: dict = {}
-    for (x, y) in points:
-        key = (x % ring.f, y % ring.f)
-        counts[key] = counts.get(key, 0) + 1
+    keys, ids = residue_classes(points, ring)
+    counts = {keys[i]: c for i, c in Counter(ids).items()}
     return ResidueProfile(modulus=ring.f, size=len(points), counts=counts)

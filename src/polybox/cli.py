@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +35,7 @@ from .ffield import GF, FiniteField
 from .grammar import curve_text, parse_curve, parse_poly, poly_text
 from .intervals import Interval
 from .poly import Poly, frac_dist, is_irreducible, random_irreducible, zero
+from .residues import ResidueRing
 
 _EXIT_PASS = 0
 _EXIT_VIOLATION = 1
@@ -62,65 +64,86 @@ def _field_from(params: dict) -> FiniteField:
     return GF(q)
 
 
-def _resolve_f(params: dict, field) -> Poly:
-    if params.get("f"):
-        f = parse_poly(field, params["f"])
-        if not is_irreducible(f):
-            raise PolyboxError("modulus --f must be irreducible")
-        return f
-    if params.get("f_deg"):
-        f = random_irreducible(field, params["f_deg"], params.get("seed", 0))
-        params["f"] = poly_text(f)  # manifest records the resolved modulus
-        return f
-    raise PolyboxError("one of --f or --f-deg is required")
+class _Inputs:
+    """A command's parameters, each resolved once, on first use.
 
+    Resolving writes the canonical form back into params (curve text, the
+    seeded modulus), which is what the manifest then records, so a
+    replayed manifest recomputes from identical inputs.
+    """
 
-def _resolve_base(params: dict, field, key: str) -> Poly:
-    text = params.get(key)
-    return parse_poly(field, text) if text else zero(field)
+    def __init__(self, params: dict, field: FiniteField):
+        self.params, self.field = params, field
 
+    def base(self, key: str) -> Poly:
+        """The box base params[key]; zero when absent or empty."""
+        text = self.params.get(key)
+        return parse_poly(self.field, text) if text else zero(self.field)
 
-def _boxes(params: dict, field):
-    n = params["n"]
-    bx = Interval(_resolve_base(params, field, "base_x"), n)
-    by = Interval(_resolve_base(params, field, "base_y"), n)
-    return bx, by
+    @cached_property
+    def curve(self):
+        curve = parse_curve(self.field, self.params["curve"])
+        self.params["curve"] = curve_text(curve)
+        return curve
 
+    @cached_property
+    def ring(self) -> ResidueRing:
+        """The residue ring of --f, proved irreducible here and nowhere
+        else, or of the seeded random irreducible of degree --f-deg."""
+        params = self.params
+        if "f" in params:
+            f = parse_poly(self.field, params["f"])
+            if not is_irreducible(f):
+                raise PolyboxError("modulus --f must be irreducible")
+        elif "f_deg" in params:
+            f = random_irreducible(self.field, params["f_deg"],
+                                   params.get("seed", 0))
+            params["f"] = poly_text(f)  # manifest records the resolved modulus
+        else:
+            raise PolyboxError("one of --f or --f-deg is required")
+        return ResidueRing(f, check=False)
 
-def _wset_from(params: dict, field):
-    d, m = params.get("d"), params.get("m")
-    omega = params.get("omega")
-    if d is not None and m is not None:
-        w = wset_grid(field, d, m)
-        if omega is not None and omega != w.omega:
-            raise PolyboxError("--omega disagrees with the (d, M) grid size")
-        return w
-    if omega == 3:
-        return wset_linear(field)
-    raise PolyboxError("give --d and --M for a grid, or --omega 3 for {1,X,Y}")
+    @cached_property
+    def box_x(self) -> Interval:
+        return Interval(self.base("base_x"), self.params["n"])
+
+    @cached_property
+    def points(self):
+        """The curve's points in box_x x (base_y + the same bound)."""
+        box_y = Interval(self.base("base_y"), self.params["n"])
+        return enumerate_box_points(self.curve, self.box_x, box_y,
+                                    self.params.get("strategy", "auto"))
+
+    @cached_property
+    def wset(self):
+        d, m = self.params.get("d"), self.params.get("m")
+        omega = self.params.get("omega")
+        if d is not None and m is not None:
+            w = wset_grid(self.field, d, m)
+            if omega is not None and omega != w.omega:
+                raise PolyboxError("--omega disagrees with the (d, M) grid "
+                                   "size")
+            return w
+        if omega == 3:
+            return wset_linear(self.field)
+        raise PolyboxError("give --d and --M for a grid, or --omega 3 for "
+                           "{1,X,Y}")
 
 
 # -- command handlers (dispatchable from argparse or a replayed manifest) --
 
-def _cmd_count_box(params: dict, field: FiniteField) -> CommandResult:
-    curve = parse_curve(field, params["curve"])
-    params["curve"] = curve_text(curve)
-    bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by,
-                             strategy=params.get("strategy", "auto"))
+def _cmd_count_box(inp: _Inputs) -> CommandResult:
+    S = inp.points
     pts = [[poly_text(x), poly_text(y)] for (x, y) in S]
-    report = {"count": len(S), "size_I": bx.size, "points": pts}
+    report = {"count": len(S), "size_I": inp.box_x.size, "points": pts}
     return CommandResult(report=report, csv_header=["x", "y"], csv_rows=pts)
 
 
-def _cmd_exponent_scan(params: dict, field: FiniteField) -> CommandResult:
-    curve = parse_curve(field, params["curve"])
-    params["curve"] = curve_text(curve)
-    lo, hi = params["n_range"]
-    scan = exponent_scan(curve, range(lo, hi + 1),
-                         base_x=_resolve_base(params, field, "base_x"),
-                         base_y=_resolve_base(params, field, "base_y"),
-                         strategy=params.get("strategy", "auto"))
+def _cmd_exponent_scan(inp: _Inputs) -> CommandResult:
+    lo, hi = inp.params["n_range"]
+    scan = exponent_scan(inp.curve, range(lo, hi + 1),
+                         base_x=inp.base("base_x"), base_y=inp.base("base_y"),
+                         strategy=inp.params.get("strategy", "auto"))
     rows = [[r.n, r.size, r.count, repr(r.exponent)] for r in scan.rows]
     report = {
         "rows": [{"n": r.n, "size_I": r.size, "count": r.count,
@@ -132,15 +155,11 @@ def _cmd_exponent_scan(params: dict, field: FiniteField) -> CommandResult:
                          csv_rows=rows)
 
 
-def _cmd_residue_stats(params: dict, field: FiniteField) -> CommandResult:
-    curve = parse_curve(field, params["curve"])
-    params["curve"] = curve_text(curve)
-    f = _resolve_f(params, field)
-    bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by)
+def _cmd_residue_stats(inp: _Inputs) -> CommandResult:
+    ring, S = inp.ring, inp.points
     if not len(S):
         raise PolyboxError("empty point set: residue statistics undefined")
-    prof = residue_stats(S, f)
+    prof = residue_stats(S, ring)
     rows = sorted(
         ([poly_text(x), poly_text(y), c,
           str(prof.weights()[(x, y)])]
@@ -160,115 +179,97 @@ def _cmd_residue_stats(params: dict, field: FiniteField) -> CommandResult:
                          csv_rows=rows, violation=not prof.cauchy_ok())
 
 
-def _cmd_detlab_ord(params: dict, field: FiniteField) -> CommandResult:
-    curve = parse_curve(field, params["curve"])
-    params["curve"] = curve_text(curve)
-    f = _resolve_f(params, field)
-    W = _wset_from(params, field)
-    bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by)
-    rep = verify_ord_inequality(W, S, f, budget=params.get("budget", 10 ** 6))
+def _cmd_detlab_ord(inp: _Inputs) -> CommandResult:
+    ring, W = inp.ring, inp.wset
+    rep = verify_ord_inequality(W, inp.points, ring,
+                                budget=inp.params.get("budget", 10 ** 6))
     return CommandResult(report=rep.to_json(), violation=not rep.passed)
 
 
-def _cmd_detlab_mean_identity(params: dict,
-                              field: FiniteField) -> CommandResult:
-    curve = parse_curve(field, params["curve"])
-    params["curve"] = curve_text(curve)
-    f = _resolve_f(params, field)
-    bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by)
+def _cmd_detlab_mean_identity(inp: _Inputs) -> CommandResult:
+    ring, S = inp.ring, inp.points
     if not len(S):
         raise PolyboxError("empty point set")
-    rep = mean_distinct_identity(S, f, params["omega"],
-                                 budget=params.get("budget", 10 ** 6))
-    report = {"omega": params["omega"], "lhs": str(rep.lhs),
+    omega = inp.params["omega"]
+    rep = mean_distinct_identity(S, ring, omega,
+                                 budget=inp.params.get("budget", 10 ** 6))
+    report = {"omega": omega, "lhs": str(rep.lhs),
               "rhs": str(rep.rhs), "pass": rep.passed}
     return CommandResult(report=report, violation=not rep.passed)
 
 
-def _cmd_detlab_interpolate(params: dict, field: FiniteField) -> CommandResult:
-    curve = parse_curve(field, params["curve"])
-    params["curve"] = curve_text(curve)
-    d = params["d"]
-    bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by)
+def _cmd_detlab_interpolate(inp: _Inputs) -> CommandResult:
+    d = inp.params["d"]
     need = d * d + 1
-    pts = list(S)[:need]
+    pts = list(inp.points)[:need]
     if len(pts) < need:
         raise PolyboxError(f"need {need} box points, found {len(pts)}")
     G = interpolate_form(pts, d)
     report = {
         "form": curve_text(G),
         "points_used": need,
-        "proportional_to_curve": proportional(G, curve),
+        "proportional_to_curve": proportional(G, inp.curve),
     }
     return CommandResult(report=report)
 
 
-def _cmd_detlab_wcurve_max(params: dict, field: FiniteField) -> CommandResult:
-    curve = parse_curve(field, params["curve"])
-    params["curve"] = curve_text(curve)
-    W = _wset_from(params, field)
-    bx, by = _boxes(params, field)
-    S = enumerate_box_points(curve, bx, by)
+def _cmd_detlab_wcurve_max(inp: _Inputs) -> CommandResult:
+    W, S = inp.wset, inp.points
     if not len(S):
         raise PolyboxError("empty point set")
-    value = max_points_on_wcurve(W, S, budget=params.get("budget", 10 ** 5))
+    value = max_points_on_wcurve(W, S,
+                                 budget=inp.params.get("budget", 10 ** 5))
     report = {"max_on_wcurve": value, "size_S": len(S), "omega": W.omega}
     return CommandResult(report=report)
 
 
-def _cmd_ec_nlambda(params: dict, field: FiniteField) -> CommandResult:
-    f = _resolve_f(params, field)
-    lam = parse_poly(field, params["lam"])
-    params["lam"] = poly_text(lam)
-    I = Interval(_resolve_base(params, field, "base_x"), params["n"])
-    count = count_nlambda(I, lam, f)
-    report = {"count": count, "lambda": poly_text(lam), "size_I": I.size,
-              "norm_f": f.norm}
+def _cmd_ec_nlambda(inp: _Inputs) -> CommandResult:
+    ring = inp.ring
+    lam = parse_poly(inp.field, inp.params["lam"])
+    inp.params["lam"] = poly_text(lam)
+    count = count_nlambda(inp.box_x, lam, ring)
+    report = {"count": count, "lambda": poly_text(lam),
+              "size_I": inp.box_x.size, "norm_f": ring.size}
     return CommandResult(report=report)
 
 
-def _cmd_ec_census(params: dict, field: FiniteField) -> CommandResult:
-    f = _resolve_f(params, field)
-    I = Interval(_resolve_base(params, field, "base_x"), params["n"])
-    method = params.get("method", "auto")
-    count = count_invariant_pairs(I, f, method=method)
-    report = {"count": count, "size_I": I.size, "norm_f": f.norm,
+def _cmd_ec_census(inp: _Inputs) -> CommandResult:
+    ring = inp.ring
+    method = inp.params.get("method", "auto")
+    count = count_invariant_pairs(inp.box_x, ring, method=method)
+    report = {"count": count, "size_I": inp.box_x.size, "norm_f": ring.size,
               "method": method}
     return CommandResult(report=report)
 
 
-def _cmd_ec_scan19(params: dict, field: FiniteField) -> CommandResult:
-    f = _resolve_f(params, field)
-    I = Interval(_resolve_base(params, field, "base_x"), params["n"])
-    rep = ninth_window_scan(I, f, force=params.get("force", False))
+def _cmd_ec_scan19(inp: _Inputs) -> CommandResult:
+    rep = ninth_window_scan(inp.box_x, inp.ring,
+                            force=inp.params.get("force", False))
     rows = [[poly_text(lam), c] for lam, c in rep.rows]
     return CommandResult(report=rep.to_json(),
                          csv_header=["lambda", "count"], csv_rows=rows)
 
 
-def _cmd_ec_pigeonhole(params: dict, field: FiniteField) -> CommandResult:
-    f = _resolve_f(params, field)
-    xs = tuple(parse_poly(field, s) for s in params["x_list"].split("|"))
-    taus = tuple(int(s) for s in params["tau_list"].split("|"))
+def _cmd_ec_pigeonhole(inp: _Inputs) -> CommandResult:
+    f = inp.ring.f
+    xs = tuple(parse_poly(inp.field, s)
+               for s in inp.params["x_list"].split("|"))
+    taus = tuple(int(s) for s in inp.params["tau_list"].split("|"))
     inst = PigeonInstance(f=f, x_list=xs, tau_list=taus)
     t = pigeonhole_multiplier(inst)
     report = {
         "t": poly_text(t),
         "distances": [frac_dist(x * t, f) for x in xs],
-        "bounds": [field.q ** tau for tau in taus],
+        "bounds": [inp.field.q ** tau for tau in taus],
         "verified": inst.verify(t),
     }
     return CommandResult(report=report, violation=not inst.verify(t))
 
 
-def _cmd_ec_extremal(params: dict, field: FiniteField) -> CommandResult:
-    I = Interval(zero(field), params["n"])
-    count = extremal_count(I)
+def _cmd_ec_extremal(inp: _Inputs) -> CommandResult:
+    I = inp.box_x
     rows = [[poly_text(a), poly_text(b)] for (a, b) in extremal_witnesses(I)]
-    report = {"count": count, "size_I": I.size}
+    report = {"count": extremal_count(I), "size_I": I.size}
     return CommandResult(report=report, csv_header=["a", "b"], csv_rows=rows)
 
 
@@ -331,16 +332,16 @@ def run_manifest(command: str, params: dict, out: str | None,
                  outdir: str) -> int:
     """Execute a command from normalized params; write reports.
 
-    Handlers may rewrite params to their resolved canonical form (curve
-    text, seeded modulus), which is what the manifest then records, so a
-    replayed manifest recomputes from identical inputs.
+    Handlers read their inputs through _Inputs, which rewrites params to
+    their resolved canonical form (curve text, seeded modulus); the
+    manifest records that form.
     """
     handler = _HANDLERS.get(command)
     if handler is None:
         raise PolyboxError(f"unknown command {command!r}")
     working = dict(params)
     field = _field_from(working)
-    result = handler(working, field)
+    result = handler(_Inputs(working, field))
     manifest = _manifest(command, working, field.describe())
     for path in _write_outputs(command, manifest, result, out, outdir):
         print(f"wrote: {path}")
@@ -477,8 +478,6 @@ def _params_from_args(args) -> dict:
             params["n_range"] = [int(lo), int(hi)]
         except ValueError:
             raise PolyboxError("--n-range must look like 1..10")
-    if params.get("budget") is None:
-        params.pop("budget", None)
     return params
 
 

@@ -289,6 +289,14 @@ def weierstrass_parts(F: BivarPoly):
     return a, b
 
 
+def weierstrass_discriminant(a: Poly, b: Poly) -> Poly:
+    """The literal discriminant 4a^3 + 27b^2 of Y^2 = X^3 + aX + b, its
+    integers read mod p (so b^2 in characteristic 2, a^3 in 3)."""
+    field = a.field
+    return (constant(field, 4 % field.p) * a ** 3
+            + constant(field, 27 % field.p) * b ** 2)
+
+
 def is_smooth_weierstrass(F: BivarPoly) -> bool:
     """Literal discriminant test 4a^3 + 27b^2 != 0 on Weierstrass shape.
 
@@ -299,11 +307,7 @@ def is_smooth_weierstrass(F: BivarPoly) -> bool:
     parts = weierstrass_parts(F)
     if parts is None or F.field.p == 2:
         return False
-    a, b = parts
-    field = F.field
-    four = constant(field, 4 % field.p)
-    tseven = constant(field, 27 % field.p)
-    return bool(four * a ** 3 + tseven * b ** 2)
+    return bool(weierstrass_discriminant(*parts))
 
 
 @dataclass(frozen=True)
@@ -318,7 +322,8 @@ class WeilWindowReport:
 def weil_window_check(F: BivarPoly, f, C=None) -> WeilWindowReport:
     """Check |count - |f|| <= C * sqrt(|f|); exact rational comparison.
 
-    Default C: 2 for a smooth Weierstrass curve, else 2 * deg(F)^2.
+    Default C: 2 for a smooth Weierstrass curve, else 2 * deg(F)^2.  A
+    negative C is a ValueError: the check compares squares.
     """
     ring = ResidueRing.of(f)
     if C is None:
@@ -326,6 +331,8 @@ def weil_window_check(F: BivarPoly, f, C=None) -> WeilWindowReport:
             else Fraction(2 * int(F.deg) ** 2)
     else:
         C = Fraction(C)
+        if C < 0:
+            raise ValueError("window constant C must be >= 0")
     count = count_points_mod(F, ring)
     size = ring.size
     dev = count - size

@@ -13,6 +13,7 @@ matrix, and measures incidence maxima of W-curves on a point set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,7 +25,7 @@ from .curves import BivarPoly, bivar
 from .errors import BudgetExceededError
 from .linalg import det_bareiss, det_cofactor, kernel_vector
 from .poly import Poly, one, valuation, zero
-from .residues import ResidueRing
+from .residues import ResidueRing, residue_classes
 
 
 # -- W-sets --
@@ -79,27 +80,25 @@ def wset_linear(field) -> WSet:
                        bivar(field, {(0, 1): 1})))
 
 
-def wset_determinant(W: WSet, points, method: str = "auto") -> Poly:
-    """det(F_i(P_j)) over F_q[T]; cofactor and Bareiss paths agree."""
+def _w_matrix(W: WSet, pts) -> list:
+    """The W-matrix (F_i(P_j)): one row per form, one entry per point."""
+    return [[F.evaluate(x, y) for (x, y) in pts] for F in W.forms]
+
+
+def wset_determinant(W: WSet, points) -> Poly:
+    """det(F_i(P_j)) over F_q[T]: cofactor expansion up to omega = 5,
+    fraction-free Bareiss above."""
     pts = list(points)
     if len(pts) != W.omega:
         raise ValueError("tuple length must equal the W-set size")
-    rows = [[F.evaluate(x, y) for (x, y) in pts] for F in W.forms]
-    if method == "auto":
-        method = "cofactor" if W.omega <= 5 else "bareiss"
-    if method == "cofactor":
-        return det_cofactor(rows)
-    if method == "bareiss":
-        return det_bareiss(rows)
-    raise ValueError(f"unknown determinant method {method!r}")
+    rows = _w_matrix(W, pts)
+    return det_cofactor(rows) if W.omega <= 5 else det_bareiss(rows)
 
 
 def collision_count(points, f) -> int:
     """Tuple length minus the number of distinct residues mod f (kappa)."""
-    ring = ResidueRing.of(f)
     pts = list(points)
-    residues = {(x % ring.f, y % ring.f) for (x, y) in pts}
-    return len(pts) - len(residues)
+    return len(pts) - len(residue_classes(pts, ResidueRing.of(f))[0])
 
 
 # -- exhaustive tuple diagnostics --
@@ -171,7 +170,7 @@ def verify_ord_inequality(W: WSet, S, f, budget: int = 10 ** 6) -> OrdReport:
     total = len(pts) ** om
     if total > budget:
         raise BudgetExceededError("tuple enumeration too large", total, budget)
-    res_ids = _residue_ids(pts, ring)
+    res_ids = residue_classes(pts, ring)[1]
     sum_ord = 0
     sum_kappa = 0
     admissible = 0
@@ -218,8 +217,7 @@ def _subset_minors(W: WSet, pts):
     n = len(pts)
     last = W.omega - 1
     minors = {(): one(W.field)}
-    for k, Fm in enumerate(W.forms):
-        row = [Fm.evaluate(x, y) for (x, y) in pts]
+    for k, row in enumerate(_w_matrix(W, pts)):
         signed = (row, [-a for a in row])   # cofactor sign (-1)**(k + i)
         layer = {}
         for cols in combinations(range(n), k + 1):
@@ -235,17 +233,6 @@ def _subset_minors(W: WSet, pts):
             else:
                 layer[cols] = acc
         minors = layer
-
-
-def _residue_ids(pts, ring):
-    seen: dict = {}
-    ids = []
-    for (x, y) in pts:
-        key = (x % ring.f, y % ring.f)
-        if key not in seen:
-            seen[key] = len(seen)
-        ids.append(seen[key])
-    return ids
 
 
 # tuples decoded per numpy block; 1 << 15 rows of omega = 6 (1.5 MiB
@@ -305,14 +292,11 @@ def mean_distinct_identity(S, f, omega: int,
     total = len(pts) ** omega
     if total > budget:
         raise BudgetExceededError("tuple enumeration too large", total, budget)
-    ids = _residue_ids(pts, ring)
+    ids = residue_classes(pts, ring)[1]
     lhs = Fraction(_distinct_count_sum(ids, omega), total)
     n = len(pts)
-    counts: dict = {}
-    for i in ids:
-        counts[i] = counts.get(i, 0) + 1
-    rhs = sum((1 - (1 - Fraction(c, n)) ** omega for c in counts.values()),
-              Fraction(0))
+    rhs = sum((1 - (1 - Fraction(c, n)) ** omega
+               for c in Counter(ids).values()), Fraction(0))
     return IdentityReport(lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
@@ -321,6 +305,8 @@ def mean_distinct_identity(S, f, omega: int,
 def monomials_up_to(d: int):
     """Exponent pairs of total degree <= d: degree ascending, X-power
     descending inside a degree (1, X, Y, X^2, XY, Y^2, ...)."""
+    if d < 0:
+        raise ValueError("form degree d must be >= 0")
     return [(t - j, j) for t in range(d + 1) for j in range(t + 1)]
 
 
@@ -418,10 +404,10 @@ def max_points_on_wcurve(W: WSet, S, budget: int = 10 ** 5) -> int:
         raise BudgetExceededError("subset enumeration too large",
                                   n_subsets, budget)
     fld = W.field
+    values = list(zip(*_w_matrix(W, pts)))   # values[j][i] = F_i(P_j)
     best = 0
-    for subset in combinations(pts, k):
-        rows = [[Fm.evaluate(x, y) for Fm in W.forms] for (x, y) in subset]
-        vec = kernel_vector(rows, om, fld)
+    for subset in combinations(values, k):
+        vec = kernel_vector(subset, om, fld)
         G = BivarPoly(fld, {})
         for g, Fm in zip(vec, W.forms):
             if g:

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .curves import weierstrass_discriminant
 from .errors import PolyboxError
 from .intervals import Interval
 from .linalg import gf_kernel_vector
@@ -45,9 +46,7 @@ class ECPair:
         if fld.p in (2, 3):
             warnings.warn("characteristic 2/3: literal discriminant "
                           "degenerates", stacklevel=2)
-        four = constant(fld, 4 % fld.p)
-        t7 = constant(fld, 27 % fld.p)
-        if not (four * self.a ** 3 + t7 * self.b ** 2):
+        if not weierstrass_discriminant(self.a, self.b):
             raise ValueError("degenerate pair: 4a^3 + 27b^2 = 0")
 
 
@@ -273,11 +272,7 @@ class SmallModel:
 
     def x_inputs(self) -> tuple:
         """The multiplier inputs (1, 3X0, 3X0^2, -lambda, -2lambda*X0)."""
-        fld = self.f.field
-        three = constant(fld, 3 % fld.p)
-        two = constant(fld, 2 % fld.p)
-        return (one(fld), three * self.x0, three * self.x0 ** 2,
-                -self.lam, -(two * self.lam * self.x0))
+        return _multiplier_inputs(self.lam, self.x0)
 
     def model_value(self, X: Poly, Y: Poly) -> Poly:
         f1, f2, f3, f4, f5, f6 = self.fs
@@ -290,6 +285,15 @@ class SmallModel:
     def original_holds(self, X: Poly, Y: Poly) -> bool:
         v = (X + self.x0) ** 3 - self.lam * (self.x0 + Y) ** 2
         return not (v % self.f)
+
+
+def _multiplier_inputs(lam: Poly, x0: Poly) -> tuple:
+    """(1, 3X0, 3X0^2, -lambda, -2lambda*X0): the coefficients of X^3, X^2,
+    X, Y^2 and Y in the expanded box congruence."""
+    fld = lam.field
+    three = constant(fld, 3 % fld.p)
+    two = constant(fld, 2 % fld.p)
+    return (one(fld), three * x0, three * x0 ** 2, -lam, -(two * lam * x0))
 
 
 def small_coeff_model(lam: Poly, x0: Poly, f, tau_list,
@@ -306,10 +310,7 @@ def small_coeff_model(lam: Poly, x0: Poly, f, tau_list,
     fld = f.field
     lam = lam % f
     tau_list = tuple(int(t) for t in tau_list)
-    three = constant(fld, 3 % fld.p)
-    two = constant(fld, 2 % fld.p)
-    xs = (one(fld), three * x0, three * x0 ** 2,
-          -lam, -(two * lam * x0))
+    xs = _multiplier_inputs(lam, x0)
     inst = PigeonInstance(f=f, x_list=xs, tau_list=tau_list)
     t = pigeonhole_multiplier(inst)
     fs = tuple((x * t) % f for x in xs)

@@ -241,6 +241,15 @@ class ResidueRing:
         return f"ResidueRing(f={self.f!r}, size={self.size})"
 
 
+def residue_classes(points, ring: ResidueRing):
+    """The classes (x mod f, y mod f) of the points (x, y): (keys, ids),
+    keys in first-appearance order and ids[i] the class of point i."""
+    index: dict = {}
+    ids = [index.setdefault((x % ring.f, y % ring.f), len(index))
+           for (x, y) in points]
+    return list(index), ids
+
+
 class ResidueBatch:
     """Residues of a ring as (N, m*k) F_p digit rows (digit_rows).
 

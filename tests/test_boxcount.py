@@ -13,7 +13,7 @@ from polybox import boxcount
 from polybox.boxcount import (CrtRootSolver, _crt_points, _graph_points,
                               _graph_shape)
 from polybox.poly import T as T_of, random_poly
-from polybox.residues import coeff_rows
+from polybox.residues import ResidueRing, coeff_rows, residue_classes
 
 
 def _parabola(field):
@@ -203,6 +203,42 @@ def test_crt_solver_norm_product_exceeds_window(F2):
     assert len({r.f for r in solver.rings}) == len(solver.rings)
 
 
+# (q, curve terms (i, j) -> coefficient list, value-degree bound) and the
+# moduli the solver picked for them when the picker was rewritten; the
+# choice fixes every crt table, so it must not drift
+_PINNED_MODULI = [
+    (2, {(0, 2): [1], (3, 0): [1], (1, 0): [0, 1], (0, 0): [1, 1]}, 12,
+     [(1, 0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0, 1),
+      (1, 0, 0, 0, 1, 1, 1, 1), (1, 0, 0, 1, 1)]),
+    (2, {(0, 1): [1, 1, 1], (1, 0): [1, 1, 1]}, 3,
+     [(1, 0, 0, 0, 0, 0, 1, 1)]),
+    # T*(Y + X^2): T is passed over for T + 1
+    (2, {(0, 1): [0, 1], (2, 0): [0, 1]}, 7,
+     [(1, 0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0, 1), (1, 1)]),
+    # (T^2 + T)*(Y + X^2) vanishes mod both degree-1 moduli: degree 8
+    (2, {(0, 1): [0, 1, 1], (2, 0): [0, 1, 1]}, 7,
+     [(1, 0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0, 1),
+      (1, 0, 0, 0, 1, 1, 0, 1, 1)]),
+    (3, {(0, 2): [1], (3, 0): [2], (1, 0): [0, 2], (0, 0): [2, 2]}, 6,
+     [(1, 0, 1, 1, 1), (1, 0, 1, 2, 1), (1, 1, 0, 2, 1), (0, 1)]),
+    (3, {(0, 1): [0, 1], (2, 0): [0, 2]}, 4,
+     [(1, 0, 1, 1, 1), (1, 0, 1, 2, 1), (1, 1)]),
+    (4, {(0, 2): [1], (1, 1): [1], (3, 0): [1], (0, 0): [0, 0, 1]}, 5,
+     [(1, 0, 1, 1), (1, 0, 2, 1), (1, 0, 3, 1), (1, 2, 1)]),
+    (5, {(0, 1): [0, 1], (3, 0): [4], (0, 0): [4, 0, 0, 4]}, 3,
+     [(1, 0, 1, 1), (1, 0, 2, 1), (0, 1)]),
+    (9, {(0, 2): [0, 1, 1], (2, 0): [0, 8], (0, 0): [8]}, 2,
+     [(1, 3, 1), (1, 5, 1), (0, 1)]),
+]
+
+
+@pytest.mark.parametrize("q, terms, bound, moduli", _PINNED_MODULI)
+def test_crt_moduli_pinned(q, terms, bound, moduli):
+    F = GF(q)
+    C = BivarPoly(F, {k: Poly(F, v) for k, v in terms.items()})
+    assert [r.f.coeffs for r in CrtRootSolver(C, bound).rings] == moduli
+
+
 def test_root_tables_match_python_roots(F2, F3, F5, F4, F9):
     # the int64 root arrays against the definition: y is a root at x mod
     # u when u divides F(x, y); Y-degree up to 3 gives residues with
@@ -380,6 +416,14 @@ def test_residue_stats_collision(F2):
 def test_residue_stats_empty_rejected(F2):
     with pytest.raises(ValueError):
         residue_stats([], T_of(F2))
+
+
+def test_residue_classes_first_appearance(F2):
+    t, o, z = T_of(F2), one(F2), zero(F2)
+    pts = [(t, o), (z, o), (t, t), (o, z), (z, t)]
+    keys, ids = residue_classes(pts, ResidueRing(t))
+    assert keys == [(z, o), (z, z), (o, z)]
+    assert ids == [0, 0, 1, 2, 1]
 
 
 def test_cauchy_bound_random_profiles():

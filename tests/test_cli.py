@@ -9,7 +9,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from polybox.cli import main
+from polybox import GF, cli, poly, residues
+from polybox.cli import _HANDLERS, main
+from polybox.grammar import parse_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parent.parent / "src" / "polybox" / "schemas"
@@ -23,6 +25,31 @@ GOLDEN_COMMANDS = {
                                "--f-deg", "18", "--seed", "5"],
     "count-box-e903910d26cd": ["count-box", "--q", "2", "--curve", "Y-X^2",
                                "--n", "4"],
+}
+
+
+# one run of each command in cli._HANDLERS, the goldens' where there is one
+COMMANDS = {
+    "count-box": GOLDEN_COMMANDS["count-box-e903910d26cd"],
+    "exponent-scan": GOLDEN_COMMANDS["exponent-scan-238cad316bdc"],
+    "residue-stats": ["residue-stats", "--q", "2", "--curve", "Y-X^2",
+                      "--n", "2", "--f", "T^2+T+1"],
+    "detlab ord": GOLDEN_COMMANDS["detlab-ord-db42f6791467"],
+    "detlab mean-identity": ["detlab", "mean-identity", "--q", "3",
+                             "--curve", "Y-X^2", "--n", "1", "--f-deg", "1",
+                             "--omega", "2"],
+    "detlab interpolate": ["detlab", "interpolate", "--q", "3", "--curve",
+                           "Y-X^2", "--n", "4", "--d", "2"],
+    "detlab wcurve-max": ["detlab", "wcurve-max", "--q", "2", "--d", "1",
+                          "--M", "1", "--curve", "Y-X^2", "--n", "2"],
+    "ec nlambda": ["ec", "nlambda", "--q", "3", "--n", "1", "--f-deg", "5",
+                   "--lambda", "T+2", "--base-x", "T^3"],
+    "ec census": ["ec", "census", "--q", "2", "--n", "2", "--f-deg", "9",
+                  "--seed", "3"],
+    "ec scan19": GOLDEN_COMMANDS["ec-scan19-0b18766ebf50"],
+    "ec pigeonhole": ["ec", "pigeonhole", "--q", "3", "--f", "T^3+2*T+1",
+                      "--x-list", "T+1|T^2", "--tau-list", "2|2"],
+    "ec extremal": ["ec", "extremal", "--q", "2", "--n", "6"],
 }
 
 
@@ -69,6 +96,69 @@ def test_replay_reproduces_bit_for_bit(tmp_path):
         _canonical_json(second / report.name)
     assert (first / report.name.replace(".json", ".csv")).read_bytes() == \
         (second / report.name.replace(".json", ".csv")).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(_HANDLERS))
+def test_every_command_replays_and_validates(tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(COMMANDS[command] + ["--outdir", str(first)]) == 0
+    report = next(first.glob("*.json"))
+    assert main(["replay", str(report), "--outdir", str(second)]) == 0
+    for path in first.iterdir():
+        if path.suffix == ".json":
+            assert _canonical_json(path) == _canonical_json(second / path.name)
+        else:
+            assert path.read_bytes() == (second / path.name).read_bytes()
+    doc = json.loads(report.read_text())
+    assert doc["manifest"]["command"] == command
+    jsonschema.validate(doc, _schema_for(report.stem))
+
+
+@pytest.mark.parametrize("command", sorted(
+    c for c, argv in COMMANDS.items() if {"--f", "--f-deg"} & set(argv)))
+def test_modulus_proved_once(tmp_path, monkeypatch, command):
+    proved = []
+    real = poly.is_irreducible
+
+    def counting(g):
+        proved.append(g)
+        return real(g)
+
+    for module in (cli, poly, residues):
+        monkeypatch.setattr(module, "is_irreducible", counting)
+    assert main(COMMANDS[command] + ["--outdir", str(tmp_path)]) == 0
+    params = json.loads(next(tmp_path.glob("*.json")).read_text())[
+        "manifest"]["params"]
+    f = parse_poly(GF(params["q"]), params["f"])
+    assert proved.count(f) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["residue-stats", "--f", "T"],
+    ["detlab", "mean-identity", "--f", "T", "--omega", "3"],
+    ["detlab", "wcurve-max", "--omega", "3"],
+])
+def test_empty_box_exits_usage(tmp_path, capsys, argv):
+    # y^2 + y has constant term 0 over GF(2), x^2 + x + 1 has 1: no points
+    rc = main(argv + ["--q", "2", "--curve", "Y^2+Y+X^2+X+(1)", "--n", "1",
+                      "--outdir", str(tmp_path)])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"]["message"].startswith("empty point set")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ec", "scan19", "--q", "2", "--n", "0", "--f-deg", "0"],
+     "degree must be >= 1"),
+    (["detlab", "interpolate", "--q", "3", "--curve", "Y-X^2", "--n", "4",
+      "--d", "-1"], "form degree d must be >= 0"),
+])
+def test_invalid_degree_exits_usage(tmp_path, capsys, argv, message):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == {"type": "ValueError", "message": message,
+                                "exit_code": 2}
 
 
 def test_every_csv_has_header(tmp_path):

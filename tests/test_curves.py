@@ -253,6 +253,14 @@ def test_weil_window_smoke(F2, F4):
     assert rep2.count == 2 * 8 - 1 and not rep2.passed
 
 
+def test_weil_negative_constant_rejected(F2):
+    # dev**2 <= C**2 * |f| would pass for any C = -c that c passes
+    w = bivar(F2, {(0, 2): 1, (0, 1): 1, (3, 0): 1})
+    with pytest.raises(ValueError):
+        weil_window_check(w, Poly(F2, [1, 1, 1]), C=-2)
+    assert weil_window_check(w, Poly(F2, [1, 1, 1]), C=0).constant == 0
+
+
 def test_weil_default_constant(F5):
     w = bivar(F5, {(0, 2): 1, (3, 0): -1 % 5, (1, 0): -1 % 5})  # a=1, b=0
     assert is_smooth_weierstrass(w)

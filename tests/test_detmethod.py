@@ -14,7 +14,7 @@ from polybox import (BudgetExceededError, FullRankError, Poly, bivar,
                      verify_ord_inequality, wset_determinant, wset_grid,
                      wset_linear, zero)
 from polybox import detmethod
-from polybox.detmethod import OrdReport
+from polybox.detmethod import InterpolationProblem, OrdReport
 from polybox.grammar import poly_text
 from polybox.linalg import det_bareiss, det_cofactor
 from polybox.poly import T as T_of, random_poly
@@ -351,6 +351,16 @@ def test_mean_identity_one_residue(F3):
 def test_monomial_order():
     assert monomials_up_to(2) == [(0, 0), (1, 0), (0, 1),
                                   (2, 0), (1, 1), (0, 2)]
+
+
+def test_negative_form_degree_rejected(F3):
+    pts = _pts(F3, ((), ()), ((1,), (1,)))
+    with pytest.raises(ValueError):
+        monomials_up_to(-1)
+    with pytest.raises(ValueError):
+        InterpolationProblem.build(pts, -1)
+    with pytest.raises(ValueError):
+        interpolate_form(pts, -1)
 
 
 def test_interpolate_line_char2(F2):
