@@ -9,6 +9,7 @@ hypothesis matters.
 
 from polybox import (GF, Poly, bivar, count_points_mod, monic_irreducibles,
                      weil_window_check)
+from polybox.curves import count_points_by_rows
 from polybox.poly import T as T_of
 
 F3 = GF(3)
@@ -32,8 +33,8 @@ for f in list(monic_irreducibles(F3, 3)):
           f"{2 * rep.size - 1}, within window: {rep.passed}")
 print()
 
-print("== Exhaustive and histogram counting paths agree ==")
+print("== Counting by x and by y agree ==")
 f = Poly(F3, [1, 0, 1])  # T^2 + 1
-a = count_points_mod(curve, f, method="exhaustive")
-b = count_points_mod(curve, f, method="separable")
-print(f"mod T^2+1: exhaustive = {a}, separable-histogram = {b}")
+a = count_points_mod(curve, f)        # separable: a histogram of X^3+TX+1
+b = count_points_by_rows(curve, f)    # per y, the roots in x
+print(f"mod T^2+1: histogram = {a}, by rows = {b}")

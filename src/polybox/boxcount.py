@@ -169,11 +169,9 @@ class CrtRootSolver:
     F_p-linear on them, y = sum_u roots_u @ L_u mod p.
     """
 
-    def __init__(self, F: BivarPoly, value_degree_bound: int,
-                 combo_cap: int = _COMBO_CAP):
+    def __init__(self, F: BivarPoly, value_degree_bound: int):
         fld = F.field
         self.F = F
-        self.combo_cap = combo_cap
         needed = 2 * value_degree_bound + 1
         cap_deg = 1
         while fld.q ** (cap_deg + 1) <= _MODULUS_SIZE_CAP:
@@ -228,7 +226,7 @@ class CrtRootSolver:
     def candidates(self, x: Poly):
         """Candidate y values for this x, read from the root arrays: () when
         some modulus has no root, None when the combinations exceed
-        combo_cap."""
+        _COMBO_CAP."""
         fld = self.F.field
         root_lists = []
         for ring, (counts, roots, _) in zip(self.rings, self.lifts):
@@ -237,7 +235,7 @@ class CrtRootSolver:
                 fld, roots[i, :counts[i]]).tolist()])
         if not all(root_lists):
             return ()
-        if math.prod(map(len, root_lists)) > self.combo_cap:
+        if math.prod(map(len, root_lists)) > _COMBO_CAP:
             return None
         out = []
         for combo in product(*root_lists):
@@ -253,28 +251,26 @@ class CrtRootSolver:
         box_y are left out.
 
         The box is read as digit rows (box_digit_rows), _ROWS_PER_PASS x
-        at a time: one digit-matrix product per modulus u gives x mod u,
-        the root arrays drop x without roots, multi-root x expand by
-        np.repeat, and one product per modulus lifts every combination.
+        at a time: each modulus u's ResidueBatch reduces and encodes them
+        to the indices of x mod u, the root arrays drop x without roots,
+        multi-root x expand by np.repeat, and one product per modulus
+        lifts every combination.
         Membership is read on the digits above the box bound, and a Poly
         is built only for an x that is yielded.
         """
         fld = self.F.field
-        p, k, cap = fld.p, fld.k, self.combo_cap
+        p, k, cap = fld.p, fld.k, _COMBO_CAP
         width = self.M.degree * k
         high = (box_y.bound + 1) * k   # digits of T**(bound+1) and above
         top = digit_rows(fld, [box_y.base], self.M.degree)[0, high:]
         d = box_x.max_degree() + 1
-        int64_dot_bound(d * k, p)
-        # per modulus u: the digits of x mod u, and their base-p index
-        reds = [(mul_matrix(one(fld), d, ring.f), p ** np.arange(ring.deg * k))
-                for ring in self.rings]
+        batches = [ring.batch() for ring in self.rings]
         for start in range(0, box_x.size, _ROWS_PER_PASS):
             X = box_digit_rows(box_x, start, start + _ROWS_PER_PASS, d)
             idx = []
             combos = np.ones(len(X), dtype=np.int64)
-            for (red, powers), (counts, _, _) in zip(reds, self.lifts):
-                i = (X @ red % p) @ powers
+            for batch, (counts, _, _) in zip(batches, self.lifts):
+                i = batch.encode(batch.reduce(X))
                 idx.append(i)
                 combos = np.minimum(combos * counts[i], cap + 1)
             found = {int(i): None for i in np.flatnonzero(combos > cap)}

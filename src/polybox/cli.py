@@ -459,17 +459,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_KEYS = ("q", "ext_k", "modulus", "curve", "base_x", "base_y", "n",
-               "n_range", "f", "f_deg", "lam", "d", "m", "omega", "seed",
-               "budget", "method", "strategy", "force", "x_list", "tau_list")
+# parser dests that route or write a run rather than parametrize it
+_NON_PARAMS = ("command", "subcommand", "out", "outdir")
 
 
 def _params_from_args(args) -> dict:
-    raw = vars(args)
-    params = {}
-    for key in _PARAM_KEYS:
-        if key in raw and raw[key] is not None:
-            params[key] = raw[key]
+    params = {key: val for key, val in vars(args).items()
+              if key not in _NON_PARAMS and val is not None}
+    if "f" in params and "f_deg" in params:
+        raise PolyboxError("give one of --f or --f-deg, not both")
     if "n_range" in params and isinstance(params["n_range"], str):
         lo, sep, hi = params["n_range"].partition("..")
         if not sep:

@@ -181,27 +181,21 @@ def is_separable_sum(F: BivarPoly) -> bool:
     return all(i == 0 or j == 0 for i, j in F.terms)
 
 
-def count_points_mod(F: BivarPoly, f, method: str = "auto") -> int:
+def count_points_mod(F: BivarPoly, f) -> int:
     """|{(x, y) in (F_q[T]/f)^2 : F(x, y) = 0 mod f}| by exhaustion.
 
-    method: 'auto' picks a histogram path for additively separable F and
-    the whole-ring zeros of root_sets otherwise; 'exhaustive' forces them;
-    'separable' forces the histogram (error if F mixes X and Y).  Both
-    paths run on the ring's digit engine at every ring size and agree.
+    A histogram of A(x) against B(y) for additively separable F
+    (_count_separable), the whole-ring zeros of root_sets otherwise
+    (_count_exhaustive).  Both paths run on the ring's digit engine at
+    every ring size and agree on separable F.
     """
     ring = ResidueRing.of(f)
     Fr = F.reduce_mod(ring)
     if not Fr:
         raise ValueError("curve vanishes identically mod f")
-    if method == "auto":
-        method = "separable" if is_separable_sum(Fr) else "exhaustive"
-    if method == "separable":
-        if not is_separable_sum(Fr):
-            raise ValueError("separable counting needs F = A(X) + B(Y)")
+    if is_separable_sum(Fr):
         return _count_separable(Fr, ring)
-    if method == "exhaustive":
-        return _count_exhaustive(Fr, ring)
-    raise ValueError(f"unknown counting method {method!r}")
+    return _count_exhaustive(Fr, ring)
 
 
 def _split_separable(Fr: BivarPoly):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import BivarPoly, bivar
 from .errors import BudgetExceededError
-from .linalg import det_bareiss, det_cofactor, kernel_vector
+from .linalg import det_bareiss, kernel_vector
 from .poly import Poly, one, valuation, zero
 from .residues import ResidueRing, residue_classes
 
@@ -86,13 +86,12 @@ def _w_matrix(W: WSet, pts) -> list:
 
 
 def wset_determinant(W: WSet, points) -> Poly:
-    """det(F_i(P_j)) over F_q[T]: cofactor expansion up to omega = 5,
-    fraction-free Bareiss above."""
+    """det(F_i(P_j)) over F_q[T], by fraction-free Bareiss elimination."""
     pts = list(points)
     if len(pts) != W.omega:
         raise ValueError("tuple length must equal the W-set size")
     rows = _w_matrix(W, pts)
-    return det_cofactor(rows) if W.omega <= 5 else det_bareiss(rows)
+    return det_bareiss(rows)
 
 
 def collision_count(points, f) -> int:

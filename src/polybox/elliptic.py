@@ -24,7 +24,8 @@ from .errors import PolyboxError
 from .intervals import Interval
 from .linalg import gf_kernel_vector
 from .poly import Poly, constant, frac_dist, one, sort_key
-from .residues import _BLOCK, ResidueRing, coeff_rows, digit_rows
+from .residues import (_BLOCK, ResidueRing, box_digit_rows, coeff_rows,
+                       digit_rows)
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,15 @@ def _witness_ok(a, b, c, d, t, ring) -> bool:
 
 # -- box censuses --
 #
-# Box members are digit rows mod f (ResidueBatch.box_rows); cubes, squares
-# and products come from ResidueBatch.mul, and classes are counted on
-# encoded residue indices, so no census holds an array of |f| rows.
+# Box members are digit rows mod f (ResidueBatch.reduce of their
+# box_digit_rows); cubes, squares and products come from ResidueBatch.mul,
+# and classes are counted on encoded residue indices, so no census holds
+# an array of |f| rows.
 
 def _box_powers(I: Interval, ring: ResidueRing):
     """Digit rows (cubes, squares) of the members of I mod f, in order."""
     batch = ring.batch()
-    a = batch.box_rows(I)
+    a = batch.reduce(box_digit_rows(I, 0, I.size, I.max_degree() + 1))
     squares = batch.mul(a, a)
     return batch.mul(squares, a), squares
 
@@ -121,8 +123,7 @@ def count_nlambda(I: Interval, lam: Poly, f) -> int:
     batch = ring.batch()
     cubes, squares = _box_powers(I, ring)
     keys, counts = np.unique(batch.encode(cubes), return_counts=True)
-    lam_row = digit_rows(ring.field, [lam % ring.f], ring.deg)
-    targets = batch.encode(batch.mul(lam_row, squares))
+    targets = batch.encode(batch.mul(batch.poly_rows(lam), squares))
     pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
     return int(counts[pos[keys[pos] == targets]].sum())
 

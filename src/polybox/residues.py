@@ -5,14 +5,15 @@ field of size |f| = q**deg(f), and an F_p-space of dimension k*deg(f) for
 q = p**k: `digit_rows` writes a residue as its F_p digits, whose base-p
 value is `ResidueRing.index`, and `box_digit_rows` writes the members of a
 box the same way without building them.  `convolve` multiplies digit rows
-as polynomials, the one product kernel.  `ResidueBatch` multiplies (a
-`convolve` and its reduction) and encodes digit rows, built from (p, k, f)
-alone, so box-sized work modulo a large f allocates only box-sized
-arrays; its whole-field matrix `digits` (every residue, for point counts
-and crt root tables) is built on first use.  `int64_dot_bound` states,
-and checks, the overflow bound of every int64 digit product in the
-package, and `_BLOCK` bounds the entries of every transient block of
-products.
+as polynomials, the one product kernel.  `ResidueBatch.reduce` takes
+digit rows of any width to their remainders mod f, the one reduction:
+box members and products (`mul`, a `convolve` then `reduce`) reach the
+ring through it.  A batch is built from (p, k, f) alone, so box-sized
+work modulo a large f allocates only box-sized arrays; its whole-field
+matrix `digits` (every residue, for point counts and crt root tables) is
+built on first use.  `int64_dot_bound` states, and checks, the overflow
+bound of every int64 digit product in the package, and `_BLOCK` bounds
+the entries of every transient block of products.
 """
 
 from __future__ import annotations
@@ -253,17 +254,19 @@ def residue_classes(points, ring: ResidueRing):
 class ResidueBatch:
     """Residues of a ring as (N, m*k) F_p digit rows (digit_rows).
 
-    The arithmetic (`mul`, `encode`, `box_rows`) is built from (p, k, f)
+    The arithmetic (`reduce`, `mul`, `encode`) is built from (p, k, f)
     alone.  `digits`, every residue as one row in ResidueRing.elements()
     order (the base-p value of row i is i), is built on first use, so a
     batch over a large f holds only the arrays it is given.
 
-    `mul` is F_p-bilinear on digits: the T-convolution `convolve`, then a
-    reduction of the high T-coefficients.  Digit arrays use int64, and each
-    entry sums digit products: m*k for the convolution and (m-1)*k for the
-    reduction.  The largest, m*k*(p-1)**2, is checked before any array is
-    allocated.  Indices (`encode`) are int64 below |f| = 2**63 and Python
-    ints from there on, so they are exact at every size.
+    `reduce` is the F_p-linear map from digit rows of any width to their
+    remainders mod f, and `mul` is F_p-bilinear: the T-convolution
+    `convolve`, then `reduce`.  Digit arrays use int64, and each entry sums
+    digit products: m*k for a product's convolution, checked at
+    construction, and (n-m)*k plus one digit for the reduction of width n,
+    checked before its matrix is built.  Indices (`encode`) are int64
+    below |f| = 2**63 and Python ints from there on, so they are exact at
+    every size.
     """
 
     def __init__(self, ring: ResidueRing):
@@ -275,9 +278,7 @@ class ResidueBatch:
         self._powers = p ** np.arange(m * k, dtype=np.int64) \
             if self.n <= 1 << 63 else np.array([p ** i for i in range(m * k)],
                                                dtype=object)
-        # rows: u**l * T**j mod f for j = m .. 2m-2 (product overflow)
-        self.reduction = mul_matrix(Poly(fld, (0,) * m + (1,)), m - 1, ring.f)
-        self._box_reduction = {}    # width n -> mul_matrix(one, n, f)
+        self._reductions = {}   # width n -> mul_matrix(T**m, n - m, f)
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -289,23 +290,28 @@ class ResidueBatch:
         """(N, m*k) digit rows -> residue indices."""
         return digits @ self._powers
 
-    def box_rows(self, I) -> np.ndarray:
-        """The members of box I mod f as digit rows (|I|, m*k), in order."""
-        n = I.max_degree() + 1
-        red = self._box_reduction.get(n)
+    def reduce(self, rows: np.ndarray) -> np.ndarray:
+        """(N, n*k) digit rows below T**n, any n -> (N, m*k) digit rows of
+        their remainders mod f: copied into zeros when n <= m, else the
+        digits of T**m .. T**(n-1) through mul_matrix(T**m, n - m, f), one
+        per width, added to the low digits."""
+        mk, n = self.m * self.k, rows.shape[1] // self.k
+        if n <= self.m:
+            out = np.zeros((len(rows), mk), dtype=np.int64)
+            out[:, :rows.shape[1]] = rows
+            return out
+        red = self._reductions.get(n)
         if red is None:
-            int64_dot_bound(n * self.k, self.p)
-            red = self._box_reduction[n] = mul_matrix(
-                one(self.ring.field), n, self.ring.f)
-        return box_digit_rows(I, 0, I.size, n) @ red % self.p
+            int64_dot_bound((n - self.m) * self.k + 1, self.p)
+            f = self.ring.f
+            red = self._reductions[n] = mul_matrix(
+                Poly(f.field, (0,) * self.m + (1,)), n - self.m, f)
+        return (rows[:, :mk] + rows[:, mk:] @ red) % self.p
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise product of residue digit matrices, reduced mod f: the
-        T-convolution `convolve`, then its T**m .. T**(2m-2) digits through
-        `reduction`."""
-        mk = self.m * self.k
-        conv = convolve(self.ring.field, a, b)
-        return (conv[:, :mk] + conv[:, mk:] @ self.reduction) % self.p
+        T-convolution `convolve`, then `reduce`."""
+        return self.reduce(convolve(self.ring.field, a, b))
 
     @cached_property
     def _structure(self) -> np.ndarray:
@@ -340,8 +346,8 @@ class ResidueBatch:
                 len(ys), b, mk).transpose(1, 0, 2)
 
     def poly_rows(self, g: Poly) -> np.ndarray:
-        """Constant residue g as one digit row (1, m*k)."""
-        return self.digits[self.ring.index(g % self.ring.f), None]
+        """Constant residue g mod f as one digit row (1, m*k)."""
+        return digit_rows(self.ring.field, [g % self.ring.f], self.m)
 
     def eval_univariate(self, coeffs: list[Poly], x: np.ndarray) -> np.ndarray:
         """Evaluate sum coeffs[i] * x**i row-wise (Horner); coeffs are Poly."""

@@ -287,8 +287,8 @@ def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9,
                                                 monkeypatch):
     # the batched lift == per-x candidates() == naive, on shifted boxes;
     # Y^2 = X^3 + aX + b in odd characteristic has two roots modulo many
-    # moduli, and combo_cap 2 sends those x to the fallback, on prime and
-    # on extension fields; at 5 rows per pass the same corpus also takes
+    # moduli, and a _COMBO_CAP of 2 sends those x to the fallback, on prime
+    # and on extension fields; at 5 rows per pass the same corpus also takes
     # several x passes and splits the lift rows; per x, box_candidates()
     # falls back exactly where candidates() does
     for rows_per_pass in (boxcount._ROWS_PER_PASS, 5):
@@ -303,10 +303,11 @@ def test_crt_batch_matches_candidates_and_naive(F2, F3, F5, F4, F9,
                                         (1, 0): -t, (0, 0): -(t + one(F))}))
             for C in curves:
                 for cap in (4096, 2):
+                    monkeypatch.setattr(boxcount, "_COMBO_CAP", cap)
                     box_x = Interval(random_poly(F, 2, rng), n)
                     box_y = Interval(random_poly(F, 2, rng), n)
                     bound = max(box_x.max_degree(), box_y.max_degree())
-                    solver = CrtRootSolver(C, bound, combo_cap=cap)
+                    solver = CrtRootSolver(C, bound)
                     got = _crt_points(C, box_x, box_y, solver)
                     ref, c, e, per_x = _per_x_points(C, box_x, box_y,
                                                      solver)

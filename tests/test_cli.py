@@ -161,6 +161,31 @@ def test_invalid_degree_exits_usage(tmp_path, capsys, argv, message):
                                 "exit_code": 2}
 
 
+@pytest.mark.parametrize("command", sorted(
+    c for c, argv in COMMANDS.items() if {"--f", "--f-deg"} & set(argv)))
+def test_f_and_f_deg_together_exit_usage(tmp_path, capsys, command):
+    argv = list(COMMANDS[command])
+    i = next(i for i, a in enumerate(argv) if a in ("--f", "--f-deg"))
+    del argv[i:i + 2]    # the command's own modulus flag and its value
+    rc = main(argv + ["--f", "T", "--f-deg", "3", "--outdir", str(tmp_path)])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == {
+        "type": "PolyboxError", "exit_code": 2,
+        "message": "give one of --f or --f-deg, not both"}
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+
+def test_golden_manifest_with_f_and_f_deg_replays(tmp_path):
+    # an --f-deg run records the modulus it drew beside f_deg; replaying
+    # that manifest is not the conflict above
+    golden = GOLDEN / "ec-scan19-0b18766ebf50.json"
+    params = json.loads(golden.read_text())["manifest"]["params"]
+    assert {"f", "f_deg"} <= set(params)
+    assert main(["replay", str(golden), "--outdir", str(tmp_path)]) == 0
+    assert _canonical_json(tmp_path / golden.name) == golden.read_bytes()
+
+
 def test_every_csv_has_header(tmp_path):
     for stem, argv in GOLDEN_COMMANDS.items():
         out = tmp_path / stem

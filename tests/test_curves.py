@@ -14,7 +14,8 @@ from polybox import (GF, BivarPoly, Poly, ResidueRing, TransformMatrix,
                      degree_stats, find_full_degree_transform,
                      is_smooth_weierstrass, one, parse_curve,
                      random_irreducible, weil_window_check, zero)
-from polybox.curves import (_split_separable, count_points_by_rows,
+from polybox.curves import (_count_exhaustive, _count_separable,
+                            _split_separable, count_points_by_rows,
                             is_separable_sum, root_sets, top_form_value,
                             weierstrass_parts)
 from polybox.poly import T as T_of, horner, random_poly
@@ -155,12 +156,13 @@ def test_count_methods_agree(F2, F3, F4, F9):
         for _ in range(draws):
             C = _rand_bivar(F, 2, 1, rng)
             ring = ResidueRing(f, check=False)
-            if not C.reduce_mod(ring):
+            Fr = C.reduce_mod(ring)
+            if not Fr:
                 continue
-            counts = {count_points_mod(C, f, method="exhaustive"),
+            counts = {_count_exhaustive(Fr, ring),
                       count_points_by_rows(C, f)}
             if all(i == 0 or j == 0 for i, j in C.terms):
-                counts.add(count_points_mod(C, f, method="separable"))
+                counts.add(_count_separable(Fr, ring))
             assert len(counts) == 1
 
 
@@ -189,11 +191,11 @@ def test_count_vector_path_matches_scalar(F2, F3, F4, F9):
                 continue
             want = _count_exhaustive_reference(Fr, ring)
             assert count_points_mod(C, ring) == want
-            assert count_points_mod(C, ring, method="exhaustive") == want
+            assert _count_exhaustive(Fr, ring) == want
             assert count_points_by_rows(C, ring) == want
             if is_separable_sum(Fr):
                 assert _count_separable_reference(Fr, ring) == want
-                assert count_points_mod(C, ring, method="separable") == want
+                assert _count_separable(Fr, ring) == want
 
 
 @given(st.sampled_from([2, 3, 4, 5, 9]), st.data())
@@ -214,10 +216,10 @@ def test_count_paths_agree_property(q, data):
     assume(Fr)
     want = _count_exhaustive_reference(Fr, ring)
     assert count_points_mod(C, ring) == want
-    assert count_points_mod(C, ring, method="exhaustive") == want
+    assert _count_exhaustive(Fr, ring) == want
     assert count_points_by_rows(C, ring) == want
     if is_separable_sum(Fr):
-        assert count_points_mod(C, ring, method="separable") == want
+        assert _count_separable(Fr, ring) == want
         assert _count_separable_reference(Fr, ring) == want
 
 

@@ -689,6 +689,53 @@ def test_box_digit_rows_match_members(F2, F3, F4, F9):
                     assert (got == digit_rows(F, members[start:stop], n)).all()
 
 
+def test_reduce_matches_poly_remainder(F2, F3, F4, F9):
+    # ResidueBatch.reduce, the one map from digit rows to residues mod f,
+    # against Poly % f: random rows narrower than, as wide as and wider
+    # than deg f, zero rows among them; the members of shifted boxes,
+    # including bases of degree above the box bound; and poly_rows(g) for
+    # deg g >= deg f against the whole-field table
+    rng = random.Random(46)
+    for F, deg in ((F2, 5), (F3, 3), (F4, 2), (F9, 2)):
+        ring = ResidueRing(random_irreducible(F, deg, 3), check=False)
+        batch = ring.batch()
+        mk = deg * F.k
+        for n in (1, deg - 1, deg, deg + 1, 2 * deg - 1, 3 * deg + 2):
+            polys = [zero(F)] + [random_poly(F, n - 1, rng) for _ in range(15)]
+            got = batch.reduce(digit_rows(F, polys, n))
+            assert got.shape == (16, mk)
+            assert (got == digit_rows(F, [g % ring.f for g in polys],
+                                      deg)).all()
+        t = T_of(F)
+        for base, bound in ((random_poly(F, 1, rng), 1),
+                            (random_poly(F, deg - 1, rng), deg),
+                            (t ** (deg + 2) + random_poly(F, 2, rng), 1),
+                            (t ** (2 * deg) + random_poly(F, deg, rng), 0)):
+            I = Interval(base, bound)
+            got = batch.reduce(box_digit_rows(I, 0, I.size,
+                                              I.max_degree() + 1))
+            assert (got == digit_rows(F, [x % ring.f for x in I],
+                                      deg)).all()
+        for e in range(4):
+            g = t ** (deg + e) + random_poly(F, deg + e - 1, rng)
+            want = batch.digits[ring.index(g % ring.f), None]
+            assert (batch.poly_rows(g) == want).all()
+            assert (batch.reduce(digit_rows(F, [g], deg + e + 1))
+                    == want).all()
+
+
+def test_reduce_overflow_refused():
+    # one digit product of size (p-1)**2 fits int64 for this prime, one
+    # more digit does not: rows as wide as deg f = 1 are copied, a wider
+    # row is refused before its reduction matrix is built
+    F = GF(3037000493)
+    batch = ResidueRing(Poly(F, [1, 1]), check=False).batch()
+    rows = np.full((3, 2), F.p - 1, dtype=np.int64)
+    assert (batch.reduce(rows[:, :1]) == F.p - 1).all()
+    with pytest.raises(OverflowError):
+        batch.reduce(rows)
+
+
 def test_residue_inverse_roundtrip(F3):
     from polybox import ResidueRing
     ring = ResidueRing(Poly(F3, [1, 0, 1]))
