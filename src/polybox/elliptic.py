@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -94,14 +95,43 @@ def _witness_ok(a, b, c, d, t, ring) -> bool:
 # Box members are digit rows mod f (ResidueBatch.reduce of their
 # box_digit_rows); cubes, squares and products come from ResidueBatch.mul,
 # and classes are counted on encoded residue indices, so no census holds
-# an array of |f| rows.
+# an array of |f| rows.  A ring keeps the cubes, squares and cube classes
+# of its last census box (_CensusBox, in the one slot ResidueBatch.census),
+# so a sum of N_lambda over every lambda reads the box once.
 
-def _box_powers(I: Interval, ring: ResidueRing):
-    """Digit rows (cubes, squares) of the members of I mod f, in order."""
+class _CensusBox:
+    """The lambda-independent half of a census on one box modulo f.
+
+    `cubes` and `squares` are the read-only digit rows of a^3 and a^2 mod
+    f for the members a of `box`, in box order; `cube_classes` are the
+    sorted residue indices of the cubes with their member counts, built
+    on first use.
+    """
+
+    def __init__(self, I: Interval, batch):
+        a = batch.reduce(box_digit_rows(I, 0, I.size, I.max_degree() + 1))
+        self.box, self._batch = I, batch
+        self.squares = batch.mul(a, a)
+        self.cubes = batch.mul(self.squares, a)
+        self.cubes.flags.writeable = self.squares.flags.writeable = False
+
+    @cached_property
+    def cube_classes(self):
+        keys, counts = np.unique(self._batch.encode(self.cubes),
+                                 return_counts=True)
+        keys.flags.writeable = counts.flags.writeable = False
+        return keys, counts
+
+
+def _box_powers(I: Interval, ring: ResidueRing) -> _CensusBox:
+    """The census data of I mod f: the ring's stored box when it equals
+    I, else a new _CensusBox that replaces it."""
+    if I.field != ring.field:
+        raise ValueError("mismatched field parameters")
     batch = ring.batch()
-    a = batch.reduce(box_digit_rows(I, 0, I.size, I.max_degree() + 1))
-    squares = batch.mul(a, a)
-    return batch.mul(squares, a), squares
+    if batch.census is None or batch.census.box != I:
+        batch.census = _CensusBox(I, batch)
+    return batch.census
 
 
 def _pair_products(batch, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -118,12 +148,18 @@ def _pair_products(batch, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def count_nlambda(I: Interval, lam: Poly, f) -> int:
-    """Pairs (a, b) in I^2 with a^3 = lambda * b^2 mod f, exhaustively."""
+    """Pairs (a, b) in I^2 with a^3 = lambda * b^2 mod f, exhaustively.
+
+    Each encode(lambda * b^2) is looked up among the sorted cube classes.
+    A ring keeps the cubes, squares and cube classes of its last census
+    box (_box_powers), so a further call on the same box and ring
+    computes only the products lambda * b^2.
+    """
     ring = ResidueRing.of(f)
     batch = ring.batch()
-    cubes, squares = _box_powers(I, ring)
-    keys, counts = np.unique(batch.encode(cubes), return_counts=True)
-    targets = batch.encode(batch.mul(batch.poly_rows(lam), squares))
+    box = _box_powers(I, ring)
+    keys, counts = box.cube_classes
+    targets = batch.encode(batch.mul(batch.poly_rows(lam), box.squares))
     pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
     return int(counts[pos[keys[pos] == targets]].sum())
 
@@ -139,7 +175,8 @@ def _ratio_classes(I: Interval, ring: ResidueRing):
     """
     batch = ring.batch()
     fld = ring.field
-    cubes, squares = _box_powers(I, ring)
+    box = _box_powers(I, ring)
+    cubes, squares = box.cubes, box.squares
     unit = squares.any(axis=1)
     inv_squares = digit_rows(fld, [
         ring.inv(Poly(fld, row))
@@ -164,8 +201,8 @@ def count_invariant_pairs(I: Interval, f, method: str = "auto") -> int:
     if method == "auto":
         method = "quad" if I.size ** 4 <= 2 ** 16 else "bucket"
     if method == "quad":
-        cubes, squares = _box_powers(I, ring)
-        P = _pair_products(ring.batch(), cubes, squares)
+        box = _box_powers(I, ring)
+        P = _pair_products(ring.batch(), box.cubes, box.squares)
         step = max(1, _BLOCK // len(P))
         return sum(int(np.count_nonzero(P[i:i + step, None] == P))
                    for i in range(0, len(P), step))

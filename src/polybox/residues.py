@@ -267,6 +267,10 @@ class ResidueBatch:
     checked before its matrix is built.  Indices (`encode`) are int64
     below |f| = 2**63 and Python ints from there on, so they are exact at
     every size.
+
+    `census` is one slot for the box censuses of polybox.elliptic: the
+    cubes, squares and cube classes of the last census box, replaced when
+    a census runs on another box, so the batch holds at most one box.
     """
 
     def __init__(self, ring: ResidueRing):
@@ -279,6 +283,7 @@ class ResidueBatch:
             if self.n <= 1 << 63 else np.array([p ** i for i in range(m * k)],
                                                dtype=object)
         self._reductions = {}   # width n -> mul_matrix(T**m, n - m, f)
+        self.census = None      # elliptic._CensusBox of the last box
 
     @cached_property
     def digits(self) -> np.ndarray:

@@ -282,6 +282,87 @@ def test_censuses_never_build_the_whole_field(F2):
     assert "digits" not in ring.batch().__dict__
 
 
+def test_census_kernels_reject_another_field(F2, F3):
+    # a GF(3) box modulo a GF(2) ring
+    ring = ResidueRing(Poly(F2, [1, 1, 1]))
+    I = zero_interval(F3, 1)
+    with pytest.raises(ValueError, match="mismatched field parameters"):
+        count_nlambda(I, one(F2), ring)
+    for method in ("quad", "bucket"):
+        with pytest.raises(ValueError, match="mismatched field parameters"):
+            count_invariant_pairs(I, ring, method=method)
+    with pytest.raises(ValueError, match="mismatched field parameters"):
+        ninth_window_scan(I, ring, force=True)
+
+
+def _slot_boxes(F, n, fdeg, rng):
+    """Boxes A, B, then A again as a separate Interval equal in value;
+    A's base has degree above the bound, B's is shifted within it."""
+    A = Interval(random_poly(F, fdeg + 2, rng), n)
+    B = Interval(random_poly(F, n, rng), n)
+    while B == A or not B.base:
+        B = Interval(random_poly(F, n, rng), n)
+    again = Interval(Poly(F, A.base.coeffs), n)
+    assert again == A and again is not A
+    return A, B, again
+
+
+def test_census_box_slot_matches_reference(F2, F3, F4, F9):
+    # one ring per field; each census on the ring reads or replaces its
+    # stored box, and must agree with the per-member Poly loops
+    rng = random.Random(41)
+    for F, fdeg, n in ((F2, 3, 2), (F3, 2, 1), (F4, 2, 1), (F9, 2, 0)):
+        ring = ResidueRing(random_irreducible(F, fdeg, 5))
+        A, B, again = _slot_boxes(F, n, fdeg, rng)
+        for I in (A, B, again):
+            for lam in ring.elements():
+                assert count_nlambda(I, lam, ring) \
+                    == _nlambda_reference(I, lam, ring)
+            assert ring.batch().census.box == I
+        for I in (again, B):
+            quad = _quad_reference(I, ring)
+            assert count_invariant_pairs(I, ring, method="quad") == quad
+            assert count_invariant_pairs(I, ring, method="bucket") == quad
+            rep = ninth_window_scan(I, ring, force=True)
+            hist, _, both = _ratio_classes_reference(I, ring)
+            assert {lam.coeffs: c for lam, c in rep.rows} \
+                == {key: v + both for key, v in hist.items()}
+        box = ring.batch().census
+        for arr in (box.cubes, box.squares):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+
+
+def test_nlambda_sum_reads_the_box_once(F3, monkeypatch):
+    from polybox import elliptic
+    reads = []
+
+    def counted(*args):
+        reads.append(args[0])
+        return box_digit_rows(*args)
+
+    box_digit_rows = elliptic.box_digit_rows
+    monkeypatch.setattr(elliptic, "box_digit_rows", counted)
+    rng = random.Random(43)
+    ring = ResidueRing(random_irreducible(F3, 2, 7))
+    A, B, again = _slot_boxes(F3, 1, 2, rng)
+
+    def lambda_sum(I):
+        total = sum(count_nlambda(I, lam, ring) for lam in ring.elements())
+        unit_b = sum(1 for a in I for b in I if b % ring.f)
+        both = sum(1 for a in I for b in I
+                   if not a % ring.f and not b % ring.f)
+        assert total == unit_b + ring.size * both
+        return total
+
+    total_a = lambda_sum(A)
+    assert reads == [A]
+    lambda_sum(B)
+    assert reads == [A, B]
+    assert lambda_sum(again) == total_a
+    assert reads == [A, B, A]
+
+
 # -- pigeonhole --
 
 def test_pigeonhole_spec_instance(F2):
